@@ -2652,6 +2652,10 @@ impl XtractService {
             if af.migrated {
                 continue;
             }
+            // The family's record or dead letter is minted in this
+            // iteration; its merged document is released with it rather
+            // than held until the job returns.
+            let merged = std::mem::take(&mut af.merged);
             let attempts = ledger.attempts(af.family.id);
             if let Some(reason) = af.failed.take() {
                 let mut letter = DeadLetter::new(af.family.id, reason, attempts);
@@ -2662,22 +2666,16 @@ impl XtractService {
                 report.failures.push(letter);
                 continue;
             }
-            match validate(&af.family, &af.merged, &af.ran, &spec.validation) {
+            let outcome = validate(&af.family, &merged, &af.ran, &spec.validation);
+            drop(merged);
+            match outcome {
                 Ok(record) => {
                     let path = format!("/metadata/fam-{}.json", af.family.id.raw());
                     match dest
                         .backend
                         .write(&path, Bytes::from(encode_record(&record)))
                     {
-                        Ok(()) => {
-                            // The validated record replaces the family's
-                            // live wave-loop version in the serving index.
-                            if let Some(serving) = &serving {
-                                serving.ingest(record.clone());
-                                index_ingested.incr();
-                            }
-                            report.records.push(record)
-                        }
+                        Ok(()) => report.records.push(record),
                         Err(e) => report.failures.push(DeadLetter::new(
                             af.family.id,
                             FailureReason::Internal {
@@ -2701,6 +2699,17 @@ impl XtractService {
                     },
                     attempts,
                 )),
+            }
+        }
+        // `report.records` is exactly what validated *and* shipped. Those
+        // records replace the families' live wave-loop versions in the
+        // serving index as one batch, so each index shard publishes once.
+        if let Some(serving) = &serving {
+            if !report.records.is_empty() {
+                let records = report.records.len() as u64;
+                serving.ingest_all(report.records.iter().cloned());
+                index_ingested.add(records);
+                journal.record(Event::IndexValidated { records });
             }
         }
         for letter in &report.failures {

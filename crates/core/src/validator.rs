@@ -40,14 +40,14 @@ pub fn validate(
     match schema {
         ValidationSchema::Passthrough => {
             // Passthrough: the dictionary must serialize to valid JSON —
-            // true by construction, but verify round-trip to honour the
-            // contract.
-            let encoded =
-                serde_json::to_string(&merged).map_err(|e| XtractError::ValidationFailed {
+            // true by construction, but verify it to honour the contract.
+            // Only success matters, so the bytes stream into a sink.
+            serde_json::to_writer(std::io::sink(), merged).map_err(|e| {
+                XtractError::ValidationFailed {
                     schema: "passthrough".to_string(),
                     reason: e.to_string(),
-                })?;
-            let _ = encoded;
+                }
+            })?;
             Ok(MetadataRecord {
                 family: family.id,
                 schema: "passthrough".to_string(),

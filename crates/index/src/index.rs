@@ -22,8 +22,16 @@
 //! compacts: live postings are *remapped* (copied, never re-tokenized)
 //! into a single segment.
 //!
-//! Publication cost is pointer-level — cloning the segment list and the
-//! family map — which batching amortizes; the single-lock,
+//! Publication is not free, and its cost is per *batch*, not per record:
+//! the published snapshot holds the other reference to the shard's
+//! family map, so the first insert of every batch copies that map
+//! (O(families in the shard)); every `COMPACT_SEGMENTS`-th batch on a
+//! shard (or a batch that leaves more dead slots than live ones) remaps
+//! every live posting of the shard; cloning the segment list on publish
+//! is the only pointer-level part. A caller holding more than one record
+//! therefore hands them over together with [`SearchIndex::ingest_all`] —
+//! one map copy and one publish per shard for the whole batch —
+//! and never loops over [`SearchIndex::ingest`]. The single-lock,
 //! rebuild-on-replace design this replaces is preserved as
 //! [`crate::baseline::LockedIndex`] and benchmarked against in
 //! `bench_index`.
@@ -304,7 +312,11 @@ impl SearchIndex {
         }
     }
 
-    /// Ingests (or replaces) one record: a batch of one.
+    /// Ingests (or replaces) one record: a batch of one, at a batch's
+    /// full price — a new one-document segment, a copy of the shard's
+    /// family map, a publish, and a full-shard remap on every
+    /// `COMPACT_SEGMENTS`-th call. Callers holding more than one record
+    /// use [`Self::ingest_all`].
     pub fn ingest(&self, record: MetadataRecord) {
         let shard = shard_of(record.family, self.shards.len());
         self.apply_batch(shard, vec![record]);

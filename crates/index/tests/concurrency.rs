@@ -138,6 +138,9 @@ fn concurrent_readers_never_see_torn_or_regressing_records() {
     let metrics = index.ingest_metrics();
     assert_eq!(metrics.records, FAMILIES * (GENERATIONS + 1));
     assert_eq!(metrics.replacements, FAMILIES * GENERATIONS);
+    // `ingest_all` is what callers with more than one record use: a batch
+    // costs one publish per shard it touches, whatever its size.
+    assert!(metrics.publishes <= (GENERATIONS + 1) * index.shard_count() as u64);
 }
 
 const VOCAB: [&str; 8] = [

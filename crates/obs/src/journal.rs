@@ -296,6 +296,13 @@ pub enum Event {
         /// Records ingested (one per family touched this wave).
         records: u64,
     },
+    /// Stage 7 handed the job's validated, shipped records to the serving
+    /// index as one batch: from here on the index serves each family's
+    /// final record in place of its live wave-loop version.
+    IndexValidated {
+        /// Records in the batch (one per shipped family).
+        records: u64,
+    },
     /// A resumed job replayed its journaled progress into the serving
     /// index, re-converging it with the uninterrupted run.
     IndexReplayed {
@@ -660,6 +667,7 @@ mod tests {
             wave: 3,
             records: 12,
         });
+        j.record(Event::IndexValidated { records: 12 });
         j.record(Event::IndexReplayed { families: 7 });
         j.record(Event::ShardStarted {
             shard: 0,
@@ -699,7 +707,7 @@ mod tests {
         });
         j.record(Event::ShardFenced { shard: 2, epoch: 4 });
         let dump = j.to_jsonl();
-        assert_eq!(dump.lines().count(), 42);
+        assert_eq!(dump.lines().count(), 43);
         let parsed = EventJournal::parse_jsonl(&dump).unwrap();
         assert_eq!(parsed, j.events());
         // The tag is snake_case and self-describing.
@@ -720,6 +728,7 @@ mod tests {
         assert!(dump.contains("\"type\":\"quota_charged\""));
         assert!(dump.contains("\"type\":\"quota_exhausted\""));
         assert!(dump.contains("\"type\":\"index_wave_ingested\""));
+        assert!(dump.contains("\"type\":\"index_validated\""));
         assert!(dump.contains("\"type\":\"index_replayed\""));
         assert!(dump.contains("\"type\":\"shard_started\""));
         assert!(dump.contains("\"type\":\"shard_heartbeat\""));
