@@ -1,12 +1,15 @@
 //! `micro_extractors` — real extractor throughput over synthetic bytes:
 //! the native-Rust counterpart of the paper's per-extractor timings
-//! (Table 3). Each benchmark parses genuinely structured input.
+//! (Table 3). Each benchmark parses genuinely structured input and
+//! declares its input's size, so criterion reports MB/s — the unit of the
+//! perf ledger's `extractors.mb_per_s`.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::SeedableRng;
 use std::hint::black_box;
 use xtract_extractors::formats::image::{self, ImageClass};
+use xtract_extractors::formats::table;
 use xtract_extractors::{library, MapSource};
 use xtract_types::{
     EndpointId, ExtractorKind, Family, FamilyId, FileRecord, FileType, Group, GroupId,
@@ -16,7 +19,9 @@ fn rng() -> rand::rngs::SmallRng {
     rand::rngs::SmallRng::seed_from_u64(9)
 }
 
-fn one_file_family(path: &str, bytes: Vec<u8>, hint: FileType) -> (Family, MapSource) {
+/// A one-file family, its source, and the `Throughput` of one pass.
+fn one_file_family(path: &str, bytes: Vec<u8>, hint: FileType) -> (Family, MapSource, Throughput) {
+    let size = Throughput::Bytes(bytes.len() as u64);
     let mut src = MapSource::new();
     src.insert(path.to_string(), Bytes::from(bytes));
     let f = FileRecord::new(path, 0, EndpointId::new(0), hint);
@@ -24,6 +29,7 @@ fn one_file_family(path: &str, bytes: Vec<u8>, hint: FileType) -> (Family, MapSo
     (
         Family::new(FamilyId::new(0), vec![f], vec![g], EndpointId::new(0)),
         src,
+        size,
     )
 }
 
@@ -34,14 +40,20 @@ fn bench_extractors(c: &mut Criterion) {
     group.sample_size(20);
 
     let prose = xtract_workloads::materialize::prose(&mut r, 20_000);
-    let (fam, src) = one_file_family("/doc.txt", prose.into_bytes(), FileType::FreeText);
-    group.throughput(Throughput::Elements(1));
+    let (fam, src, size) =
+        one_file_family("/doc.txt", prose.as_bytes().to_vec(), FileType::FreeText);
+    group.throughput(size);
     group.bench_function("keyword_20k_words", |b| {
         b.iter(|| black_box(lib[&ExtractorKind::Keyword].extract(&fam, &src).unwrap()))
     });
+    // Only the keyword extractor's "is this prose really a table?" probe.
+    group.bench_function("keyword_probe_prose_20k", |b| {
+        b.iter(|| black_box(table::parse(black_box(&prose)).is_err()))
+    });
 
     let csv = xtract_workloads::materialize::csv(&mut r, 5_000);
-    let (fam, src) = one_file_family("/t.csv", csv.into_bytes(), FileType::Tabular);
+    let (fam, src, size) = one_file_family("/t.csv", csv.into_bytes(), FileType::Tabular);
+    group.throughput(size);
     group.bench_function("tabular_5k_rows", |b| {
         b.iter(|| black_box(lib[&ExtractorKind::Tabular].extract(&fam, &src).unwrap()))
     });
@@ -50,7 +62,8 @@ fn bench_extractors(c: &mut Criterion) {
     });
 
     let img = image::generate(ImageClass::Photograph, 256, 256, &mut r);
-    let (fam, src) = one_file_family("/p.ximg", img.encode().to_vec(), FileType::Image);
+    let (fam, src, size) = one_file_family("/p.ximg", img.encode().to_vec(), FileType::Image);
+    group.throughput(size);
     group.bench_function("images_256px", |b| {
         b.iter(|| black_box(lib[&ExtractorKind::Images].extract(&fam, &src).unwrap()))
     });
@@ -59,7 +72,8 @@ fn bench_extractors(c: &mut Criterion) {
     });
 
     let json = xtract_workloads::materialize::json_doc(&mut r);
-    let (fam, src) = one_file_family("/m.json", json.into_bytes(), FileType::Json);
+    let (fam, src, size) = one_file_family("/m.json", json.into_bytes(), FileType::Json);
+    group.throughput(size);
     group.bench_function("semistructured_json", |b| {
         b.iter(|| {
             black_box(
@@ -71,7 +85,8 @@ fn bench_extractors(c: &mut Criterion) {
     });
 
     let hdf = xtract_workloads::materialize::xhdf_doc(&mut r);
-    let (fam, src) = one_file_family("/g.xhdf", hdf.into_bytes(), FileType::Hierarchical);
+    let (fam, src, size) = one_file_family("/g.xhdf", hdf.into_bytes(), FileType::Hierarchical);
+    group.throughput(size);
     group.bench_function("hierarchical", |b| {
         b.iter(|| {
             black_box(
@@ -86,6 +101,9 @@ fn bench_extractors(c: &mut Criterion) {
     let run = xtract_workloads::materialize::vasp_run(&mut r);
     let mut src = MapSource::new();
     let mut paths = Vec::new();
+    group.throughput(Throughput::Bytes(
+        run.iter().map(|(_, body)| body.len() as u64).sum(),
+    ));
     for (name, body) in run {
         let p = format!("/run/{name}");
         src.insert(p.clone(), Bytes::from(body.into_bytes()));

@@ -8,20 +8,51 @@
 //! The parser handles quoted fields, delimiter inference (`,` vs `\t` vs
 //! `;`), ragged-row detection, and per-column typing (numeric vs text vs
 //! empty) — the machinery the null-value extractor reuses.
+//!
+//! Cost contract: a [`Table`] borrows from the text it was parsed from.
+//! Cells are slices of the input held in one flat row-major vector; a
+//! field is copied only when its line contains a `"` (unquoting may
+//! rewrite it), so allocation follows files and quoted lines, not rows and
+//! cells. [`parse`] returns on the first offending row (a first row with
+//! fewer than two fields, or a later row of another width) without reading
+//! the rest, which makes it a cheap "is this prose really a table?" probe.
 
+use std::borrow::Cow;
 use xtract_types::XtractError;
 
-/// A parsed table.
+/// A parsed table, borrowing its cells from the parsed text.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Table {
+pub struct Table<'a> {
     /// Column labels (synthesized `col0..colN` when no header detected).
     pub header: Vec<String>,
     /// Whether the first row looked like a header.
     pub has_header: bool,
     /// The delimiter in use.
     pub delimiter: char,
-    /// Data rows (header excluded).
-    pub rows: Vec<Vec<String>>,
+    /// Every cell, row-major, `header.len()` per row, starting with the
+    /// header row when one was detected.
+    cells: Vec<Cow<'a, str>>,
+}
+
+impl<'a> Table<'a> {
+    fn body(&self) -> &[Cow<'a, str>] {
+        let skip = if self.has_header {
+            self.header.len()
+        } else {
+            0
+        };
+        &self.cells[skip..]
+    }
+
+    /// Data rows (header excluded), in file order.
+    pub fn rows(&self) -> std::slice::Chunks<'_, Cow<'a, str>> {
+        self.body().chunks(self.header.len())
+    }
+
+    /// Number of data rows.
+    pub fn row_count(&self) -> usize {
+        self.body().len() / self.header.len()
+    }
 }
 
 /// Per-column aggregate statistics.
@@ -67,10 +98,13 @@ pub fn infer_delimiter(text: &str) -> char {
     best
 }
 
-/// Splits one line into fields, honoring double-quoted fields with `""`
-/// escapes.
-fn split_line(line: &str, delim: char) -> Vec<String> {
-    let mut fields = Vec::new();
+/// Appends one line's fields to `out`, honoring double-quoted fields with
+/// `""` escapes. A line without a quote is split in place and borrowed.
+fn split_line<'a>(line: &'a str, delim: char, out: &mut Vec<Cow<'a, str>>) {
+    if !line.contains('"') {
+        out.extend(line.split(delim).map(Cow::Borrowed));
+        return;
+    }
     let mut cur = String::new();
     let mut chars = line.chars().peekable();
     let mut in_quotes = false;
@@ -89,13 +123,12 @@ fn split_line(line: &str, delim: char) -> Vec<String> {
         } else if c == '"' && cur.is_empty() {
             in_quotes = true;
         } else if c == delim {
-            fields.push(std::mem::take(&mut cur));
+            out.push(Cow::Owned(std::mem::take(&mut cur)));
         } else {
             cur.push(c);
         }
     }
-    fields.push(cur);
-    fields
+    out.push(Cow::Owned(cur));
 }
 
 fn is_numeric(cell: &str) -> bool {
@@ -104,35 +137,35 @@ fn is_numeric(cell: &str) -> bool {
 
 /// Parses a table from text. Fails on ragged rows (differing field
 /// counts), which is how the extractor detects that a "tabular" file is
-/// really free text.
-pub fn parse(text: &str) -> Result<Table, XtractError> {
+/// really free text; the failing row is the last one read.
+pub fn parse(text: &str) -> Result<Table<'_>, XtractError> {
     let delimiter = infer_delimiter(text);
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
+    let mut cells: Vec<Cow<'_, str>> = Vec::new();
+    let mut width = 0;
+    let lines = text.lines().filter(|l| !l.trim().is_empty());
+    for (row, line) in lines.enumerate() {
+        let before = cells.len();
+        split_line(line, delimiter, &mut cells);
+        let fields = cells.len() - before;
+        if row == 0 {
+            if fields < 2 {
+                return Err(fail("single-column input is not tabular"));
+            }
+            width = fields;
+        } else if fields != width {
+            return Err(fail(format!(
+                "ragged row {row}: {fields} fields, expected {width}"
+            )));
         }
-        rows.push(split_line(line, delimiter));
     }
-    if rows.is_empty() {
+    if cells.is_empty() {
         return Err(fail("empty table"));
     }
-    let width = rows[0].len();
-    if width < 2 {
-        return Err(fail("single-column input is not tabular"));
-    }
-    if let Some((i, r)) = rows.iter().enumerate().find(|(_, r)| r.len() != width) {
-        return Err(fail(format!(
-            "ragged row {i}: {} fields, expected {width}",
-            r.len()
-        )));
-    }
     // Header heuristic: first row has no numeric cells but later rows do.
-    let first_numericless = rows[0].iter().all(|c| !is_numeric(c));
-    let body_has_numbers = rows.iter().skip(1).any(|r| r.iter().any(|c| is_numeric(c)));
-    let has_header = first_numericless && body_has_numbers && rows.len() > 1;
+    let (first, rest) = cells.split_at(width);
+    let has_header = first.iter().all(|c| !is_numeric(c)) && rest.iter().any(|c| is_numeric(c));
     let header: Vec<String> = if has_header {
-        rows.remove(0)
+        first.iter().map(|c| c.to_string()).collect()
     } else {
         (0..width).map(|i| format!("col{i}")).collect()
     };
@@ -140,12 +173,12 @@ pub fn parse(text: &str) -> Result<Table, XtractError> {
         header,
         has_header,
         delimiter,
-        rows,
+        cells,
     })
 }
 
 /// Computes per-column aggregates.
-pub fn column_stats(table: &Table) -> Vec<ColumnStats> {
+pub fn column_stats(table: &Table<'_>) -> Vec<ColumnStats> {
     let width = table.header.len();
     let mut stats: Vec<ColumnStats> = table
         .header
@@ -161,7 +194,7 @@ pub fn column_stats(table: &Table) -> Vec<ColumnStats> {
         })
         .collect();
     let mut sums = vec![0.0f64; width];
-    for row in &table.rows {
+    for row in table.rows() {
         for (i, cell) in row.iter().enumerate() {
             let trimmed = cell.trim();
             let s = &mut stats[i];
@@ -203,7 +236,7 @@ mod tests {
         let t = parse(SAMPLE).unwrap();
         assert!(t.has_header);
         assert_eq!(t.header, vec!["site", "year", "co2_ppm"]);
-        assert_eq!(t.rows.len(), 3);
+        assert_eq!(t.row_count(), 3);
         assert_eq!(t.delimiter, ',');
     }
 
@@ -212,7 +245,7 @@ mod tests {
         let t = parse("1,2,3\n4,5,6\n").unwrap();
         assert!(!t.has_header);
         assert_eq!(t.header, vec!["col0", "col1", "col2"]);
-        assert_eq!(t.rows.len(), 2);
+        assert_eq!(t.row_count(), 2);
     }
 
     #[test]
@@ -225,8 +258,12 @@ mod tests {
     fn quoted_fields_with_embedded_delimiters() {
         let t = parse("id,notes\n1,\"hello, world\"\n2,\"she said \"\"hi\"\"\"\n").unwrap();
         assert!(t.has_header);
-        assert_eq!(t.rows[0][1], "hello, world");
-        assert_eq!(t.rows[1][1], "she said \"hi\"");
+        let rows: Vec<_> = t.rows().collect();
+        assert_eq!(rows[0][1], "hello, world");
+        assert_eq!(rows[1][1], "she said \"hi\"");
+        // Only the quoted lines were copied.
+        assert!(matches!(t.cells[0], Cow::Borrowed("id")));
+        assert!(matches!(rows[0][0], Cow::Owned(_)));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::extractor::{ExtractOutput, Extractor, FileSource};
 use crate::formats::table;
-use crate::impls::text_util::{rarity_weight, tokenize};
+use crate::impls::text_util::{for_each_token, rarity_weight};
 use serde_json::json;
 use std::collections::HashMap;
 use xtract_types::{ExtractorKind, Family, FileType, Metadata, Result};
@@ -63,16 +63,24 @@ impl Extractor for KeywordExtractor {
             if file.hint != FileType::Tabular && table::parse(text).is_ok() {
                 out.discovered.push((file.path.clone(), FileType::Tabular));
             }
-            let tokens = tokenize(text);
             docs += 1;
-            let mut counts: HashMap<&str, u64> = HashMap::new();
-            for t in &tokens {
-                *counts.entry(t.as_str()).or_insert(0) += 1;
-            }
-            let total = tokens.len().max(1) as f64;
+            // One allocation per distinct word: tokens are lent, and only
+            // a word's first sighting is copied into the map.
+            let mut counts: HashMap<String, u64> = HashMap::new();
+            let mut token_count = 0usize;
+            for_each_token(text, |t| {
+                token_count += 1;
+                match counts.get_mut(t) {
+                    Some(c) => *c += 1,
+                    None => {
+                        counts.insert(t.to_string(), 1);
+                    }
+                }
+            });
+            let total = token_count.max(1) as f64;
             let mut scored: Vec<(&str, f64)> = counts
                 .iter()
-                .map(|(&w, &c)| (w, (c as f64 / total) * rarity_weight(w)))
+                .map(|(w, &c)| (w.as_str(), (c as f64 / total) * rarity_weight(w)))
                 .filter(|(_, s)| *s > 0.0)
                 .collect();
             scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
@@ -89,7 +97,7 @@ impl Extractor for KeywordExtractor {
                     .map(|(w, s)| json!({"word": w, "weight": s / norm}))
                     .collect::<Vec<_>>()),
             );
-            md.insert("token_count", tokens.len());
+            md.insert("token_count", token_count);
             for (w, _) in &scored {
                 *family_counts.entry((*w).to_string()).or_insert(0) += 1;
             }

@@ -37,7 +37,7 @@ impl Extractor for NullValueExtractor {
             };
             let stats = table::column_stats(&t);
             let nulls: u64 = stats.iter().map(|s| s.null_count as u64).sum();
-            let cells = (t.rows.len() * t.header.len()) as u64;
+            let cells = (t.row_count() * t.header.len()) as u64;
             family_nulls += nulls;
             family_cells += cells;
             md.insert("null_cells", nulls);

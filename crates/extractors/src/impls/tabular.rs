@@ -38,8 +38,8 @@ impl Extractor for TabularExtractor {
             match table::parse(text) {
                 Ok(t) => {
                     tables += 1;
-                    total_rows += t.rows.len() as u64;
-                    md.insert("rows", t.rows.len());
+                    total_rows += t.row_count() as u64;
+                    md.insert("rows", t.row_count());
                     md.insert("columns", t.header.len());
                     md.insert("has_header", t.has_header);
                     md.insert("delimiter", t.delimiter.to_string());

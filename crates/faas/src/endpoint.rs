@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use xtract_obs::{Counter, Event, MetricsHub, Obs};
 use xtract_types::{ContainerId, EndpointId, FaultPlan, TaskId, XtractError};
 
@@ -76,6 +76,10 @@ pub struct EndpointCounters {
     pub cold_starts: Counter,
     /// Tasks fully executed (any terminal state except Lost).
     pub executed: Counter,
+    /// Wall time spent inside function bodies, microseconds, whatever the
+    /// task's terminal state: a worker's busy share is this over its
+    /// uptime, the rest is waiting for work.
+    pub busy_us: Counter,
     /// Tasks marked lost due to allocation expiry.
     pub lost: Counter,
     /// Tasks whose worker crashed mid-execution (fault injection).
@@ -94,6 +98,7 @@ impl EndpointCounters {
             warm_hits: hub.counter_with("endpoint.warm_hits", label),
             cold_starts: hub.counter_with("endpoint.cold_starts", label),
             executed: hub.counter_with("endpoint.executed", label),
+            busy_us: hub.counter_with("endpoint.busy_us", label),
             lost: hub.counter_with("endpoint.lost", label),
             crashed: hub.counter_with("endpoint.crashed", label),
             cancelled: hub.counter_with("endpoint.cancelled", label),
@@ -336,7 +341,9 @@ fn worker_loop(rx: &Receiver<WorkItem>, ctx: &WorkerCtx) {
         }
         let body = item.body.clone();
         let payload = item.payload.clone();
+        let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(move || body(payload)));
+        counters.busy_us.add(started.elapsed().as_micros() as u64);
         // If the allocation expired while we were running, the result never
         // makes it back (§5.8.1) — the family must be resubmitted. An
         // injected heartbeat loss drops the result the same way.
@@ -420,6 +427,35 @@ mod tests {
             }
         }
         assert_eq!(ep.counters().executed.get(), 16);
+    }
+
+    #[test]
+    fn body_wall_time_is_counted_as_busy() {
+        let table = statuses();
+        let ep = ComputeEndpoint::start(
+            EndpointConfig::instant(EndpointId::new(0), 4),
+            table.clone(),
+        );
+        for i in 0..16 {
+            ep.enqueue(WorkItem {
+                task: TaskId::new(i),
+                container: ContainerId::new(0),
+                body: Arc::new(|v| {
+                    std::thread::sleep(Duration::from_millis(2));
+                    Ok(v)
+                }),
+                payload: json!(i),
+            })
+            .unwrap();
+        }
+        for i in 0..16 {
+            assert!(matches!(
+                wait_terminal(&table, TaskId::new(i)),
+                TaskStatus::Done(_)
+            ));
+        }
+        assert_eq!(ep.counters().executed.get(), 16);
+        assert!(ep.counters().busy_us.get() >= 32_000);
     }
 
     #[test]
