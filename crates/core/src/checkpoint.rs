@@ -26,9 +26,11 @@ pub struct CheckpointEntry {
     pub family: FamilyId,
     /// Extractor name whose output this is.
     pub extractor: String,
-    /// The flushed metadata, shared with the recovery log's
-    /// `StepCompleted` record for the same step — one allocation per
-    /// completed step, however many consumers hold it. Serializes
+    /// The flushed metadata: a handle to the step's one allocation, which
+    /// the recovery log's `StepCompleted` record and the wave loop's
+    /// per-family step list share too. The store never holds a copy of
+    /// its own, and the wave loop drops the store with its last wave, so
+    /// the family's record can take the allocation over. Serializes
     /// transparently (serde's `rc` feature), so the image's JSON is
     /// byte-identical to the pre-`Arc` format.
     pub metadata: Arc<Metadata>,

@@ -41,19 +41,30 @@ pub struct FamilyResult {
     pub error: Option<String>,
 }
 
-/// Encodes a batch for submission.
+/// Encodes a batch for submission: [`BatchPayload`]'s wire form, serialized
+/// from a borrowed view of the batch — the family list is read in place,
+/// not copied into a `BatchPayload` first.
 pub fn encode_batch(batch: &XtractBatch, delete_files: bool) -> serde_json::Value {
-    serde_json::to_value(BatchPayload {
-        extractor: batch.extractor.name().to_string(),
-        families: batch.families.clone(),
-        delete_files,
+    serde_json::json!({
+        "extractor": batch.extractor.name(),
+        "families": batch.families,
+        "delete_files": delete_files,
     })
-    .expect("payload serialization is infallible")
 }
 
-/// Decodes a function's result list.
+/// Decodes a function's result list from a borrowed value. This is the
+/// copying wrapper over [`decode_owned`], for callers that keep the value;
+/// the wave loop owns its results and decodes them in place.
 pub fn decode_results(value: &serde_json::Value) -> Result<Vec<FamilyResult>> {
-    serde_json::from_value(value.clone()).map_err(|e| XtractError::ValidationFailed {
+    decode_owned(value.clone())
+}
+
+/// Decodes a function's result list by value: every string and every
+/// metadata map of the output moves into the [`FamilyResult`]s, so the
+/// worker's allocation becomes the decoded metadata instead of a second
+/// copy of it.
+pub fn decode_owned(value: serde_json::Value) -> Result<Vec<FamilyResult>> {
+    serde_json::from_value(value).map_err(|e| XtractError::ValidationFailed {
         schema: "family-result".to_string(),
         reason: e.to_string(),
     })
@@ -175,6 +186,20 @@ mod tests {
         let tab = r.metadata.get("tabular").unwrap();
         assert_eq!(tab["files"]["/d/t.csv"]["rows"], 2);
         assert_eq!(tab["tables"], 1);
+    }
+
+    #[test]
+    fn borrowed_encoding_is_the_payload_structs_wire_form() {
+        let batch = one_family_batch("/d/t.csv", FileType::Tabular, ExtractorKind::Tabular);
+        for delete_files in [false, true] {
+            let owned = serde_json::to_value(BatchPayload {
+                extractor: batch.extractor.name().to_string(),
+                families: batch.families.clone(),
+                delete_files,
+            })
+            .unwrap();
+            assert_eq!(encode_batch(&batch, delete_files), owned);
+        }
     }
 
     #[test]

@@ -18,15 +18,19 @@
 //!    exponential backoff;
 //! 6. run the **extraction waves**: each wave batches every family's next
 //!    pending extractor two-level (§4.3.2), submits through the FaaS
-//!    fabric, polls, merges results, extends plans with discoveries, and
-//!    resubmits lost tasks (heartbeat semantics, §5.8.1) — with the
-//!    checkpoint store skipping work that already flushed. A
+//!    fabric, polls, settles each task as it finishes (the fabric forgets
+//!    it and its output is decoded by value — one live copy of a result,
+//!    see DESIGN.md "Result path"), applies the results in entry order,
+//!    extends plans with discoveries, and resubmits lost tasks (heartbeat
+//!    semantics, §5.8.1) — with the checkpoint store skipping work that
+//!    already flushed. A
 //!    [`HealthTracker`] watches every endpoint: enough consecutive
 //!    failures open its circuit breaker, families parked on a dark
 //!    endpoint reroute to a healthy one (bytes re-staged from the
 //!    origin), and a [`RetryLedger`] bounds each family's total attempts;
-//! 7. **validate** finished records and ship them to the destination
-//!    endpoint's `/metadata/` prefix (§3 "Validation").
+//! 7. fold each family's document from its steps, **validate** it into
+//!    a record and ship that to the destination endpoint's `/metadata/`
+//!    prefix (§3 "Validation").
 //!
 //! Failure semantics: the orchestrator never panics on a faulted
 //! substrate. Every family a job ingests terminates in exactly one of
@@ -39,14 +43,14 @@ use crate::batcher::{Batcher, XtractBatch};
 use crate::checkpoint::CheckpointStore;
 use crate::families::build_families;
 use crate::offload::{Offloader, Placement};
-use crate::payload::{decode_results, encode_batch, make_function_body};
+use crate::payload::{decode_owned, encode_batch, make_function_body, FamilyResult};
 use crate::planner::ExtractionPlan;
 use crate::recovery::{spec_fingerprint, MigratedStep, RecoveryLog, RecoveryRecord};
 use crate::resilience::{BreakerState, HealthTracker, RetryLedger};
 use crate::shard::{Migrant, ShardLink};
 use crate::staging::{stage_salt_base, StageOutcome, StageRequest, StagedFamily};
 use crate::tenancy::TenantCtx;
-use crate::validator::{encode_record, validate};
+use crate::validator::{encode_record, validate_owned};
 use bytes::Bytes;
 use crossbeam_channel::unbounded;
 use parking_lot::Mutex;
@@ -126,7 +130,11 @@ pub struct JobReport {
 struct ActiveFamily {
     family: Family,
     plan: ExtractionPlan,
-    merged: Metadata,
+    /// The metadata of every completed step, in completion order: handles
+    /// to the allocations the WAL restatement list and the checkpoint
+    /// share, not copies. The family's document is their fold
+    /// ([`fold_steps`]), built where it is consumed.
+    steps: Vec<Arc<Metadata>>,
     ran: Vec<String>,
     exec: EndpointId,
     attempts: HashMap<ExtractorKind, u32>,
@@ -158,6 +166,52 @@ struct ActiveFamily {
     migrated: bool,
 }
 
+/// The folded document of a family: its steps' metadata deep-merged in
+/// completion order (objects merge recursively, any other value of a later
+/// step wins). The first step is taken over rather than copied when this is
+/// the last handle to it, so a single-step family's decoded result *is*
+/// its document.
+fn fold_steps(steps: impl IntoIterator<Item = Arc<Metadata>>) -> Metadata {
+    let mut steps = steps.into_iter();
+    let Some(first) = steps.next() else {
+        return Metadata::new();
+    };
+    let mut document = Arc::unwrap_or_clone(first);
+    for step in steps {
+        document.merge(&step);
+    }
+    document
+}
+
+/// What the wave loop keeps of a settled task: the decoded results of a
+/// `Done` — never the output itself — or why there are none.
+enum Resolution {
+    /// The function returned; its result list, decoded when it settled.
+    Done(Result<Vec<FamilyResult>>),
+    Failed(XtractError),
+    Lost,
+    Cancelled,
+    Unknown,
+    /// Still `Pending`/`Running` when the poll window closed.
+    Slow,
+}
+
+impl Resolution {
+    /// Takes a polled status apart. A `Done` output is decoded by value:
+    /// the caller has made the fabric forget the task, so this is the last
+    /// handle and the worker's allocation moves into the results.
+    fn of(status: TaskStatus) -> Self {
+        match status {
+            TaskStatus::Done(out) => Self::Done(decode_owned(Arc::unwrap_or_clone(out.value))),
+            TaskStatus::Failed(e) => Self::Failed(e),
+            TaskStatus::Lost => Self::Lost,
+            TaskStatus::Cancelled => Self::Cancelled,
+            TaskStatus::Unknown => Self::Unknown,
+            TaskStatus::Pending | TaskStatus::Running => Self::Slow,
+        }
+    }
+}
+
 /// One submitted funcX task in the current wave, plus its speculative
 /// hedge (if any) and its resolution. The first *productive* terminal
 /// status (`Done`/`Failed`) between primary and hedge wins; the loser is
@@ -173,8 +227,8 @@ struct WaveEntry {
     batch: XtractBatch,
     /// The speculative duplicate: `(task, endpoint)`.
     hedge: Option<(TaskId, EndpointId)>,
-    /// The winning status and the endpoint that produced it.
-    resolved: Option<(TaskStatus, EndpointId)>,
+    /// How the entry settled and the endpoint that settled it.
+    resolved: Option<(Resolution, EndpointId)>,
     /// The deadline breach already scored this entry's endpoint (breach
     /// accounting and hedge launch are one-shot per entry).
     breached: bool,
@@ -564,6 +618,18 @@ impl XtractService {
             payload: encode_batch(batch, false),
         }]);
         Ok(ids[0])
+    }
+
+    /// Settles `entry` with the status that decided it. The fabric forgets
+    /// the entry's task ids first — nothing polls them again, and with the
+    /// table's row gone the status holds the last handle to a `Done`
+    /// output — then only the [`Resolution`] is parked on the entry.
+    fn settle(&self, entry: &mut WaveEntry, status: TaskStatus, winner: EndpointId) {
+        match entry.hedge {
+            Some((hedge, _)) => self.faas.forget(&[entry.id, hedge]),
+            None => self.faas.forget(&[entry.id]),
+        }
+        entry.resolved = Some((Resolution::of(status), winner));
     }
 
     /// Stages `origin_files` (living at `origin_source`) under `exec`'s
@@ -984,6 +1050,12 @@ impl XtractService {
             }
         }
         ctx.resumed = true;
+        // The plan while it replays: a migration vacates its family's slot
+        // (found through `slot_of`, not by scanning the plan) and an
+        // adoption appends a new one; the survivors, in slot order, are
+        // the placement order.
+        let mut planned: Vec<Option<Family>> = Vec::new();
+        let mut slot_of: HashMap<FamilyId, usize> = HashMap::new();
         for r in effective {
             match r {
                 RecoveryRecord::CrawlCompleted {
@@ -993,9 +1065,13 @@ impl XtractService {
                 } => {
                     ctx.crawl = Some((*crawled_files, *groups, *redundant_files));
                     // A fresh crawl supersedes any earlier plan.
-                    ctx.planned.clear();
+                    planned.clear();
+                    slot_of.clear();
                 }
-                RecoveryRecord::FamilyPlanned { family } => ctx.planned.push(family.clone()),
+                RecoveryRecord::FamilyPlanned { family } => {
+                    slot_of.insert(family.id, planned.len());
+                    planned.push(Some(family.clone()));
+                }
                 RecoveryRecord::StepCompleted { .. } => ctx.steps.push(r.clone()),
                 RecoveryRecord::RetryCharged { family, amount } => {
                     *ctx.charges.entry(*family).or_insert(0) += amount;
@@ -1018,8 +1094,10 @@ impl XtractService {
                         // its cross-shard progress — steps re-stated as
                         // StepCompleted so fast-forward and checkpoint
                         // rehydration treat them like local history.
-                        ctx.planned.retain(|f| f.id != family.id);
-                        ctx.planned.push(family.clone());
+                        if let Some(old) = slot_of.insert(family.id, planned.len()) {
+                            planned[old] = None;
+                        }
+                        planned.push(Some(family.clone()));
                         for s in steps {
                             ctx.steps.push(RecoveryRecord::StepCompleted {
                                 family: family.id,
@@ -1030,8 +1108,8 @@ impl XtractService {
                         }
                         let cur = ctx.charges.entry(family.id).or_insert(0);
                         *cur = (*cur).max(*charges);
-                    } else {
-                        ctx.planned.retain(|f| f.id != family.id);
+                    } else if let Some(old) = slot_of.remove(&family.id) {
+                        planned[old] = None;
                     }
                     ctx.migrations.push(r.clone());
                 }
@@ -1045,6 +1123,7 @@ impl XtractService {
                 _ => {}
             }
         }
+        ctx.planned = planned.into_iter().flatten().collect();
         self.obs.journal.record(Event::JobResumed {
             replayed: ctx.replayed,
             truncated: ctx.truncated,
@@ -1090,6 +1169,10 @@ impl XtractService {
         // the crash points already recorded — plus the armed kill, if the
         // fault plan schedules one for this run segment.
         let mut wal_steps: Vec<RecoveryRecord> = Vec::new();
+        // Where each family's records sit in `wal_steps`, in journal order:
+        // resume fast-forward and the donation hand-off walk a family's own
+        // steps instead of scanning every step of the job per family.
+        let mut steps_of: HashMap<FamilyId, Vec<usize>> = HashMap::new();
         let mut wal_charges: HashMap<FamilyId, u32> = HashMap::new();
         let mut wal_dead: HashMap<FamilyId, DeadLetter> = HashMap::new();
         let mut wal_crashes: Vec<String> = Vec::new();
@@ -1121,9 +1204,11 @@ impl XtractService {
             report.truncated_records = ctx.truncated;
             // Rehydrate: flushed steps restore without charging the flush
             // counter (they were counted by the run that journaled them),
-            // dead letters re-arm the is-dead skip, and the retry ledger
-            // pre-charges attempts prior runs already spent.
-            for r in &ctx.steps {
+            // and the retry ledger pre-charges attempts prior runs already
+            // spent. Dead letters ride in `wal_dead` alone: nothing here
+            // asks the checkpoint about them.
+            wal_steps = ctx.steps.clone();
+            for (i, r) in wal_steps.iter().enumerate() {
                 if let RecoveryRecord::StepCompleted {
                     family,
                     kind,
@@ -1132,10 +1217,8 @@ impl XtractService {
                 } = r
                 {
                     checkpoint.restore(*family, kind.name(), metadata.clone());
+                    steps_of.entry(*family).or_default().push(i);
                 }
-            }
-            for letter in ctx.dead.values() {
-                checkpoint.record_dead_letter(letter.clone());
             }
             {
                 let mut l = ledger.lock();
@@ -1143,43 +1226,35 @@ impl XtractService {
                     l.precharge(*f, *n);
                 }
             }
-            wal_steps = ctx.steps.clone();
             wal_charges = ctx.charges.clone();
             wal_dead = ctx.dead.clone();
             wal_crashes = ctx.crash_points.clone();
             crash = CrashSchedule::arm(spec.fault_plan.as_ref(), ctx.crash_points.len() as u64);
-            // Re-converge the serving index: fold every journaled step
-            // into its family's merged document, in journal order — the
-            // same order the live run merged (and ingested) them — so a
-            // resumed job's index ends up identical to an uninterrupted
-            // run's.
+            // Re-converge the serving index: fold each family's journaled
+            // steps, in journal order — the same order the live run folded
+            // (and ingested) them — so a resumed job's index ends up
+            // identical to an uninterrupted run's.
             if let Some(serving) = &serving {
-                let mut rebuilt: HashMap<FamilyId, (Metadata, Vec<String>)> = HashMap::new();
-                for r in &ctx.steps {
-                    if let RecoveryRecord::StepCompleted {
-                        family,
-                        kind,
-                        metadata,
-                        ..
-                    } = r
-                    {
-                        let (merged, ran) = rebuilt
-                            .entry(*family)
-                            .or_insert_with(|| (Metadata::new(), Vec::new()));
-                        merged.merge(metadata);
-                        ran.push(kind.name().to_string());
-                    }
-                }
-                let families = rebuilt.len() as u64;
+                let families = steps_of.len() as u64;
                 if families > 0 {
-                    serving.ingest_all(rebuilt.into_iter().map(
-                        |(family, (document, extractors))| MetadataRecord {
-                            family,
+                    serving.ingest_all(steps_of.iter().map(|(family, at)| {
+                        let mut steps = Vec::with_capacity(at.len());
+                        let mut extractors = Vec::with_capacity(at.len());
+                        for &i in at {
+                            if let RecoveryRecord::StepCompleted { kind, metadata, .. } =
+                                &wal_steps[i]
+                            {
+                                steps.push(Arc::clone(metadata));
+                                extractors.push(kind.name().to_string());
+                            }
+                        }
+                        MetadataRecord {
+                            family: *family,
                             schema: "live".to_string(),
-                            document,
+                            document: fold_steps(steps),
                             extractors,
-                        },
-                    ));
+                        }
+                    }));
                     index_replayed.add(families);
                     journal.record(Event::IndexReplayed { families });
                 }
@@ -1391,7 +1466,7 @@ impl XtractService {
                 let mut af = ActiveFamily {
                     plan: ExtractionPlan::for_family(&family),
                     family,
-                    merged: Metadata::new(),
+                    steps: Vec::new(),
                     ran: Vec::new(),
                     exec,
                     attempts: HashMap::new(),
@@ -1406,27 +1481,25 @@ impl XtractService {
                     migrated: false,
                 };
                 // Fast-forward a resumed family through its journaled
-                // steps: merged output, ran-list, and plan cursor land
+                // steps: step handles, ran-list, and plan cursor land
                 // exactly where the original run left them — including
                 // extractors those completed steps *discovered*, which a
                 // fresh crawl-seeded plan would never schedule. The
                 // ran-guard makes the replay idempotent: a migrated
                 // family's carried steps can be restated both by its
                 // in-record and by the snapshot's step records.
-                if let Some(ctx) = rec {
-                    for r in &ctx.steps {
-                        if let RecoveryRecord::StepCompleted {
-                            family: fid,
-                            kind,
-                            metadata,
-                            discoveries,
-                        } = r
-                        {
-                            if *fid == af.family.id && !af.ran.iter().any(|n| n == kind.name()) {
-                                af.merged.merge(metadata);
-                                af.ran.push(kind.name().to_string());
-                                af.plan.complete(*kind, discoveries);
-                            }
+                for &i in steps_of.get(&af.family.id).into_iter().flatten() {
+                    if let RecoveryRecord::StepCompleted {
+                        kind,
+                        metadata,
+                        discoveries,
+                        ..
+                    } = &wal_steps[i]
+                    {
+                        if !af.ran.iter().any(|n| n == kind.name()) {
+                            af.steps.push(Arc::clone(metadata));
+                            af.ran.push(kind.name().to_string());
+                            af.plan.complete(*kind, discoveries);
                         }
                     }
                 }
@@ -1552,7 +1625,7 @@ impl XtractService {
                             let mut af = ActiveFamily {
                                 plan: ExtractionPlan::for_family(&m.family),
                                 family: m.family,
-                                merged: Metadata::new(),
+                                steps: Vec::new(),
                                 ran: Vec::new(),
                                 exec,
                                 attempts: HashMap::new(),
@@ -1570,7 +1643,7 @@ impl XtractService {
                             // resumed family would through journaled ones.
                             for s in &m.steps {
                                 if !af.ran.iter().any(|n| n == s.kind.name()) {
-                                    af.merged.merge(&s.metadata);
+                                    af.steps.push(Arc::clone(&s.metadata));
                                     af.ran.push(s.kind.name().to_string());
                                     af.plan.complete(s.kind, &s.discoveries);
                                 }
@@ -1651,17 +1724,15 @@ impl XtractService {
                                     .get(&af.family.id)
                                     .cloned()
                                     .unwrap_or_default();
-                                for r in &wal_steps {
+                                for &j in steps_of.get(&af.family.id).into_iter().flatten() {
                                     if let RecoveryRecord::StepCompleted {
-                                        family: fid,
                                         kind,
                                         metadata,
                                         discoveries,
-                                    } = r
+                                        ..
+                                    } = &wal_steps[j]
                                     {
-                                        if *fid == af.family.id
-                                            && !steps.iter().any(|s| s.kind == *kind)
-                                        {
+                                        if !steps.iter().any(|s| s.kind == *kind) {
                                             steps.push(MigratedStep {
                                                 kind: *kind,
                                                 metadata: Arc::clone(metadata),
@@ -1819,7 +1890,7 @@ impl XtractService {
                     // a loss (§5.8.1: "the metadata are re-loaded").
                     if use_checkpoint {
                         if let Some(md) = checkpoint.load(af.family.id, kind.name()) {
-                            af.merged.merge(&md);
+                            af.steps.push(md);
                             af.ran.push(kind.name().to_string());
                             af.plan.complete_simple(kind);
                             continue;
@@ -1924,10 +1995,10 @@ impl XtractService {
 
                 // Submit: one batch_submit per funcX batch (§4.3.2).
                 let mut entries: Vec<WaveEntry> = Vec::new();
-                for funcx_batch in &wave {
+                for funcx_batch in wave {
                     let mut specs = Vec::with_capacity(funcx_batch.tasks.len());
                     let mut members: Vec<(ExtractorKind, Vec<FamilyId>, XtractBatch)> = Vec::new();
-                    for task in &funcx_batch.tasks {
+                    for task in funcx_batch.tasks {
                         let function = self.function_for(task.extractor, task.endpoint)?;
                         // Staged copies are cleaned after the *whole plan*
                         // finishes (a family may still need them for later
@@ -1935,12 +2006,12 @@ impl XtractService {
                         specs.push(TaskSpec {
                             function,
                             endpoint: task.endpoint,
-                            payload: encode_batch(task, false),
+                            payload: encode_batch(&task, false),
                         });
                         members.push((
                             task.extractor,
                             task.families.iter().map(|f| f.id).collect(),
-                            task.clone(),
+                            task,
                         ));
                     }
                     // Tenant quota: invocations are charged before the
@@ -2009,7 +2080,7 @@ impl XtractService {
                     // tuned chunk, so poll fan-out tracks dispatch
                     // fan-out; static mode polls everything in one
                     // request, exactly as before.
-                    let status: HashMap<TaskId, TaskStatus> = match wave_poll_chunk {
+                    let mut status: HashMap<TaskId, TaskStatus> = match wave_poll_chunk {
                         Some(chunk) if chunk < outstanding.len() => {
                             let mut m = HashMap::with_capacity(outstanding.len());
                             for ids in outstanding.chunks(chunk.max(1)) {
@@ -2034,10 +2105,13 @@ impl XtractService {
                         if e.resolved.is_some() {
                             continue;
                         }
-                        let primary = status.get(&e.id).cloned().unwrap_or(TaskStatus::Unknown);
-                        let hedge_status = e.hedge.map(|(h, ep)| {
-                            (status.get(&h).cloned().unwrap_or(TaskStatus::Unknown), ep)
-                        });
+                        // Each status is moved out of this iteration's poll
+                        // result: the entry that settles on it owns it.
+                        let home = e.batch.endpoint;
+                        let primary = status.remove(&e.id).unwrap_or(TaskStatus::Unknown);
+                        let hedge_status = e
+                            .hedge
+                            .map(|(h, ep)| (status.remove(&h).unwrap_or(TaskStatus::Unknown), ep));
                         if productive(&primary) {
                             // The original got there first: a hedge still
                             // in flight lost the race and is cancelled so
@@ -2056,13 +2130,13 @@ impl XtractService {
                             let latency = wave_started.elapsed().as_secs_f64();
                             latency_hist.observe(latency);
                             if adaptive_on {
-                                wave_lat.entry(e.batch.endpoint).or_default().push(latency);
+                                wave_lat.entry(home).or_default().push(latency);
                             }
-                            e.resolved = Some((primary, e.batch.endpoint));
+                            self.settle(e, primary, home);
                             continue;
                         }
-                        if let Some((hs, hep)) = &hedge_status {
-                            if productive(hs) {
+                        let hedge_status = match hedge_status {
+                            Some((hs, hep)) if productive(&hs) => {
                                 // The hedge won: cancel the original so its
                                 // eventual result (if any) is discarded —
                                 // only the winner's output is ever decoded.
@@ -2071,18 +2145,19 @@ impl XtractService {
                                 for fid in &e.fams {
                                     journal.record(Event::HedgeWon {
                                         family: *fid,
-                                        winner: *hep,
+                                        winner: hep,
                                     });
                                 }
                                 let latency = wave_started.elapsed().as_secs_f64();
                                 latency_hist.observe(latency);
                                 if adaptive_on {
-                                    wave_lat.entry(e.batch.endpoint).or_default().push(latency);
+                                    wave_lat.entry(home).or_default().push(latency);
                                 }
-                                e.resolved = Some((hs.clone(), *hep));
+                                self.settle(e, hs, hep);
                                 continue;
                             }
-                        }
+                            unproductive => unproductive,
+                        };
                         if primary.is_terminal() {
                             // Lost (or unknown): no result is coming from
                             // the original. A live hedge may still produce
@@ -2103,7 +2178,7 @@ impl XtractService {
                                         loser: *hep,
                                     });
                                 }
-                                e.resolved = Some((primary, e.batch.endpoint));
+                                self.settle(e, primary, home);
                                 continue;
                             }
                             if matches!(primary, TaskStatus::Lost)
@@ -2119,13 +2194,7 @@ impl XtractService {
                                     t.charge(QuotaResource::Invocations, 1).is_ok()
                                 });
                                 if let Some(alt) = hedge_allowed
-                                    .then(|| {
-                                        self.healthy_alternative(
-                                            e.batch.endpoint,
-                                            spec,
-                                            &health.lock(),
-                                        )
-                                    })
+                                    .then(|| self.healthy_alternative(home, spec, &health.lock()))
                                     .flatten()
                                 {
                                     if let Ok(hid) = self.submit_hedge(&e.batch, alt) {
@@ -2133,7 +2202,7 @@ impl XtractService {
                                         for fid in &e.fams {
                                             journal.record(Event::TaskHedged {
                                                 family: *fid,
-                                                original: e.batch.endpoint,
+                                                original: home,
                                                 hedge: alt,
                                             });
                                         }
@@ -2142,7 +2211,7 @@ impl XtractService {
                                     }
                                 }
                             }
-                            e.resolved = Some((primary, e.batch.endpoint));
+                            self.settle(e, primary, home);
                             continue;
                         }
                         // Still running. Past the adaptive deadline the
@@ -2151,21 +2220,21 @@ impl XtractService {
                         // hedges to the best alternative, if any.
                         if !e.breached && wave_started.elapsed() >= deadline {
                             e.breached = true;
-                            health.lock().record_breach(e.batch.endpoint);
+                            health.lock().record_breach(home);
                             if spec.hedge.enabled
                                 && !closing
                                 && tenant
                                     .is_none_or(|t| t.charge(QuotaResource::Invocations, 1).is_ok())
                             {
                                 if let Some(alt) =
-                                    self.healthy_alternative(e.batch.endpoint, spec, &health.lock())
+                                    self.healthy_alternative(home, spec, &health.lock())
                                 {
                                     if let Ok(hid) = self.submit_hedge(&e.batch, alt) {
                                         hedge_launched.incr();
                                         for fid in &e.fams {
                                             journal.record(Event::TaskHedged {
                                                 family: *fid,
-                                                original: e.batch.endpoint,
+                                                original: home,
                                                 hedge: alt,
                                             });
                                         }
@@ -2204,10 +2273,10 @@ impl XtractService {
                     let alive = self.faas.endpoint(ep).is_some_and(|c| !c.is_expired());
                     if alive {
                         slow_stragglers += 1;
-                        e.resolved = Some((TaskStatus::Running, ep));
+                        self.settle(e, TaskStatus::Running, ep);
                     } else {
                         lost_stragglers += 1;
-                        e.resolved = Some((TaskStatus::Lost, ep));
+                        self.settle(e, TaskStatus::Lost, ep);
                     }
                 }
                 if lost_stragglers + slow_stragglers > 0 {
@@ -2219,15 +2288,18 @@ impl XtractService {
                     });
                 }
 
-                for e in &entries {
-                    let Some((resolution, winner_ep)) = &e.resolved else {
+                // The fold: entries apply in entry order whatever order
+                // they settled in, so WAL record order, breaker evidence
+                // and retry charging do not depend on poll timing.
+                for e in entries.iter_mut() {
+                    let Some((resolution, winner_ep)) = &mut e.resolved else {
                         continue; // unreachable: every entry resolved above
                     };
                     let (id, kind, fams) = (e.id, e.kind, &e.fams);
                     match resolution {
-                        TaskStatus::Done(out) => match decode_results(&out.value) {
+                        Resolution::Done(decoded) => match decoded {
                             Ok(results) => {
-                                for r in results {
+                                for r in results.drain(..) {
                                     let Some(&i) = index.get(&r.family) else {
                                         continue;
                                     };
@@ -2260,10 +2332,11 @@ impl XtractService {
                                             metadata: Arc::clone(&metadata),
                                             discoveries: r.discoveries.clone(),
                                         };
+                                        steps_of.entry(r.family).or_default().push(wal_steps.len());
                                         wal_steps.push(step.clone());
                                         wave_flushes.push(step);
                                     }
-                                    af.merged.merge(&metadata);
+                                    af.steps.push(metadata);
                                     af.ran.push(kind.name().to_string());
                                     af.plan.complete(kind, &r.discoveries);
                                     wave_touched.insert(r.family);
@@ -2282,7 +2355,7 @@ impl XtractService {
                                 }
                             }
                         },
-                        TaskStatus::Failed(e) if e.is_retryable() => {
+                        Resolution::Failed(e) if e.is_retryable() => {
                             // Transient executor failure (crashed worker,
                             // downed endpoint): the step stays pending and
                             // the next wave resubmits under a fresh id.
@@ -2300,7 +2373,7 @@ impl XtractService {
                                 &journal,
                             );
                         }
-                        TaskStatus::Failed(e) => {
+                        Resolution::Failed(e) => {
                             for fid in fams {
                                 let Some(&i) = index.get(fid) else { continue };
                                 active[i].failed = Some(FailureReason::ExtractionFailed {
@@ -2310,7 +2383,7 @@ impl XtractService {
                             }
                             health.lock().record_failure(*winner_ep);
                         }
-                        TaskStatus::Lost => {
+                        Resolution::Lost => {
                             // Allocation expired, heartbeat vanished, or
                             // the submission fell into a blackout: renew
                             // the endpoint ("resubmit remaining tasks on a
@@ -2331,14 +2404,14 @@ impl XtractService {
                             );
                             self.faas.renew_endpoint(*winner_ep);
                         }
-                        TaskStatus::Cancelled => {
+                        Resolution::Cancelled => {
                             // Only ever set by this orchestrator when a
                             // hedge race was decided the other way; a
                             // resolution can't carry it, and a cancelled
                             // task must never be resubmitted — the family
                             // already has its result.
                         }
-                        TaskStatus::Unknown => {
+                        Resolution::Unknown => {
                             // The fabric has no record of a task we believe
                             // we submitted — state is corrupt for these
                             // families; retrying cannot reconcile it, so
@@ -2350,7 +2423,7 @@ impl XtractService {
                                 });
                             }
                         }
-                        TaskStatus::Pending | TaskStatus::Running => {
+                        Resolution::Slow => {
                             // Merely slow, not lost: each family's step
                             // gets one free deadline extension — it stays
                             // pending for the next wave without touching
@@ -2590,7 +2663,7 @@ impl XtractService {
                             .map(|af| MetadataRecord {
                                 family: af.family.id,
                                 schema: "live".to_string(),
-                                document: af.merged.clone(),
+                                document: fold_steps(af.steps.iter().cloned()),
                                 extractors: af.ran.clone(),
                             })
                             .collect();
@@ -2624,6 +2697,13 @@ impl XtractService {
                 .map(|&(s, e)| (Phase::Stage, s, e)),
         );
         let ledger = ledger.into_inner();
+        // The waves are over, and with them every reader of the WAL
+        // restatement lists and of the checkpoint's step table (the steps
+        // themselves are durable in the log). Releasing them here leaves
+        // each family's `steps` holding the last handles to its metadata,
+        // so stage 7 folds a document out of the decoded allocations
+        // themselves instead of out of copies.
+        drop((wal_steps, wal_migrations, adopted_steps, checkpoint));
 
         // --- Stage 6.5: clean staged copies once plans are done — every
         // site the family ever staged at, not just the final one, so a
@@ -2653,21 +2733,23 @@ impl XtractService {
                 continue;
             }
             // The family's record or dead letter is minted in this
-            // iteration; its merged document is released with it rather
-            // than held until the job returns.
-            let merged = std::mem::take(&mut af.merged);
+            // iteration; its steps are released with it rather than held
+            // until the job returns.
+            let steps = std::mem::take(&mut af.steps);
             let attempts = ledger.attempts(af.family.id);
             if let Some(reason) = af.failed.take() {
                 let mut letter = DeadLetter::new(af.family.id, reason, attempts);
                 letter.timeline = std::mem::take(&mut af.timeline);
-                if use_checkpoint {
-                    checkpoint.record_dead_letter(letter.clone());
-                }
                 report.failures.push(letter);
                 continue;
             }
-            let outcome = validate(&af.family, &merged, &af.ran, &spec.validation);
-            drop(merged);
+            // The document is folded here, once, and moved into the record.
+            let outcome = validate_owned(
+                &af.family,
+                fold_steps(steps),
+                std::mem::take(&mut af.ran),
+                &spec.validation,
+            );
             match outcome {
                 Ok(record) => {
                     let path = format!("/metadata/fam-{}.json", af.family.id.raw());

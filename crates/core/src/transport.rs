@@ -10,6 +10,15 @@
 //! same framing discipline the WAL itself uses, so a torn or corrupt
 //! frame is detected, never trusted.
 //!
+//! **Reports.** A worker that finishes sends `Finished` and then its
+//! [`JobReport`] in a frame of its own. The coordinator's connection
+//! handler checks that frame's CRC and hands the bytes, undecoded, to the
+//! decision loop, which decodes the reports one at a time on the thread
+//! that merges and returns them. The coordinator's peak memory is then
+//! the reports it holds plus one decode's transient, whether the workers
+//! finish together or apart; a report that is whole on the wire and does
+//! not decode is handled as a worker that never reported.
+//!
 //! **Lease-fenced ownership.** In-process custody dies with the thread
 //! that holds it; a killed *process* can leave a zombie child or a
 //! half-written WAL behind. Every shard WAL is therefore owned through
@@ -126,6 +135,10 @@ fn read_frame(stream: &mut UnixStream) -> Result<Vec<u8>> {
     Ok(payload)
 }
 
+fn decode<T: serde::de::DeserializeOwned>(payload: &[u8]) -> Result<T> {
+    serde_json::from_slice(payload).map_err(|e| tfail(format!("decode: {e}")))
+}
+
 /// One framed, counted connection end. Every send/recv bumps the
 /// `transport.*` counters so a run's chattiness is observable.
 struct Framed {
@@ -142,9 +155,15 @@ impl Framed {
     }
 
     fn recv<T: serde::de::DeserializeOwned>(&mut self) -> Result<T> {
+        decode(&self.recv_raw()?)
+    }
+
+    /// One CRC-checked frame, left undecoded for whoever should pay for
+    /// decoding it.
+    fn recv_raw(&mut self) -> Result<Vec<u8>> {
         let payload = read_frame(&mut self.stream)?;
         self.obs.hub.counter("transport.frames_recv").add(1);
-        serde_json::from_slice(&payload).map_err(|e| tfail(format!("decode: {e}")))
+        Ok(payload)
     }
 }
 
@@ -174,8 +193,10 @@ pub(crate) enum WorkerMsg {
     Deliver { to: usize, migrant: Migrant },
     /// Park until migrants arrive or the whole run is drained.
     IdleWait,
-    /// The wave loop completed; the WAL lease is already released.
-    Finished { report: JobReport },
+    /// The wave loop completed; the WAL lease is already released. The
+    /// worker's [`JobReport`] follows in a frame of its own, which the
+    /// connection handler passes on undecoded (see [`Ev::Finished`]).
+    Finished,
     /// The wave loop failed terminally (not a scheduled kill).
     Failed { error: XtractError },
 }
@@ -550,7 +571,8 @@ pub fn run_worker(root: &Path, shard: usize) -> Result<()> {
             drop(ctx);
             drop(lease);
             let mut framed = conn.lock();
-            framed.send(&WorkerMsg::Finished { report })?;
+            framed.send(&WorkerMsg::Finished)?;
+            framed.send(&report)?;
             let _ = framed.recv::<CoordMsg>();
             Ok(())
         }
@@ -595,7 +617,12 @@ impl WorkerCmd {
 /// Coordinator-internal events, funneled from connection handlers and
 /// the heartbeat monitor into the single decision loop.
 enum Ev {
-    Finished(usize, JobReport),
+    /// A worker's report frame, still encoded. The decision loop decodes
+    /// it: one report at a time however many workers finish together, and
+    /// on the thread that will merge and return the records, so a report's
+    /// allocations do not land in whichever allocator arena a short-lived
+    /// handler thread happened to be given (DESIGN.md, "Wire protocol").
+    Finished(usize, Vec<u8>),
     Failed(usize, XtractError),
     Lost(usize, String),
 }
@@ -712,10 +739,13 @@ fn serve_connection(
                 IdleVerdict::Adopt => CoordMsg::Idle { finished: false },
                 IdleVerdict::Finished => CoordMsg::Idle { finished: true },
             },
-            WorkerMsg::Finished { report } => {
-                let _ = framed.send(&CoordMsg::Ok);
-                let _ = tx.send(Ev::Finished(shard, report));
-                clean = true;
+            WorkerMsg::Finished => {
+                // A report that never arrives whole is a severed worker.
+                if let Ok(report) = framed.recv_raw() {
+                    let _ = framed.send(&CoordMsg::Ok);
+                    let _ = tx.send(Ev::Finished(shard, report));
+                    clean = true;
+                }
                 break;
             }
             WorkerMsg::Failed { error } => {
@@ -923,35 +953,41 @@ pub fn run_proc_sharded(
                     reason: "coordinator event channel closed".into(),
                 })?;
                 let (k, point) = match ev {
-                    Ev::Finished(k, rep) => {
-                        if !terminal[k] {
-                            coordinator.mark_done(k);
-                            // A delivery can race the finish: the wave
-                            // loop exited and will never drain it.
-                            // Fence the WAL (the worker released its
-                            // lease before announcing) and re-route
-                            // from parent custody.
-                            let leftovers = coordinator.take_custody(k);
-                            if !leftovers.is_empty() {
-                                let lease = LogDirLease::preempt(&shard_dirs[k])?;
-                                admissions.lock()[k] = lease.epoch();
-                                stranded |= redistribute(
-                                    &coordinator,
-                                    service,
-                                    spec,
-                                    &shard_dirs[k],
-                                    k,
-                                    leftovers,
-                                    Some(&lease),
-                                )?;
+                    Ev::Finished(k, frame) => match decode::<JobReport>(&frame) {
+                        Ok(rep) => {
+                            if !terminal[k] {
+                                coordinator.mark_done(k);
+                                // A delivery can race the finish: the wave
+                                // loop exited and will never drain it.
+                                // Fence the WAL (the worker released its
+                                // lease before announcing) and re-route
+                                // from parent custody.
+                                let leftovers = coordinator.take_custody(k);
+                                if !leftovers.is_empty() {
+                                    let lease = LogDirLease::preempt(&shard_dirs[k])?;
+                                    admissions.lock()[k] = lease.epoch();
+                                    stranded |= redistribute(
+                                        &coordinator,
+                                        service,
+                                        spec,
+                                        &shard_dirs[k],
+                                        k,
+                                        leftovers,
+                                        Some(&lease),
+                                    )?;
+                                }
+                                let offset = offsets.lock()[k];
+                                shard_reports[k] = Some((rep, offset));
+                                terminal[k] = true;
+                                done += 1;
                             }
-                            let offset = offsets.lock()[k];
-                            shard_reports[k] = Some((rep, offset));
-                            terminal[k] = true;
-                            done += 1;
+                            continue;
                         }
-                        continue;
-                    }
+                        // Whole on the wire and still not a report: no
+                        // worker of this build sent it. The shard is
+                        // adopted like any other that did not report.
+                        Err(e) => (k, e.to_string()),
+                    },
                     Ev::Failed(k, e) => {
                         let point = match &e {
                             XtractError::OrchestratorKilled { point } => point.clone(),
@@ -1179,5 +1215,37 @@ mod tests {
         assert_eq!(obs.hub.counter_value("transport.frames_sent", None), 2);
         assert_eq!(obs.hub.counter_value("transport.frames_recv", None), 2);
         drop((a, b));
+    }
+
+    #[test]
+    fn a_report_follows_finished_in_a_frame_of_its_own() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let obs = Obs::new();
+        let mut worker = Framed {
+            stream: a,
+            obs: obs.clone(),
+        };
+        let mut handler = Framed {
+            stream: b,
+            obs: obs.clone(),
+        };
+        let report = JobReport {
+            families: 11,
+            waves: 3,
+            ..JobReport::default()
+        };
+        worker.send(&WorkerMsg::Finished).unwrap();
+        worker.send(&report).unwrap();
+        assert!(matches!(
+            handler.recv::<WorkerMsg>().unwrap(),
+            WorkerMsg::Finished
+        ));
+        // The handler's half: the bytes, counted, not decoded.
+        let frame = handler.recv_raw().unwrap();
+        assert_eq!(obs.hub.counter_value("transport.frames_recv", None), 2);
+        // The decision loop's half.
+        let decoded: JobReport = decode(&frame).unwrap();
+        assert_eq!((decoded.families, decoded.waves), (11, 3));
+        assert!(decode::<JobReport>(b"{\"families\":").is_err());
     }
 }

@@ -30,11 +30,26 @@ pub const MDF_SCHEMAS: [&str; 12] = [
     "mdf-generic",
 ];
 
-/// Validates (and optionally transforms) a family's merged metadata.
+/// Validates (and optionally transforms) a family's merged metadata,
+/// leaving the caller's document and provenance list untouched. This is
+/// the copying wrapper over [`validate_owned`], which stage 7 calls.
 pub fn validate(
     family: &Family,
     merged: &Metadata,
     extractors: &[String],
+    schema: &ValidationSchema,
+) -> Result<MetadataRecord> {
+    validate_owned(family, merged.clone(), extractors.to_vec(), schema)
+}
+
+/// [`validate`] over a document the caller gives up: on success the
+/// document and the provenance list are *moved* into the record (the MDF
+/// transformation wraps the document, it does not rebuild it), so a
+/// record costs no copy of what was extracted.
+pub fn validate_owned(
+    family: &Family,
+    merged: Metadata,
+    extractors: Vec<String>,
     schema: &ValidationSchema,
 ) -> Result<MetadataRecord> {
     match schema {
@@ -42,7 +57,7 @@ pub fn validate(
             // Passthrough: the dictionary must serialize to valid JSON —
             // true by construction, but verify it to honour the contract.
             // Only success matters, so the bytes stream into a sink.
-            serde_json::to_writer(std::io::sink(), merged).map_err(|e| {
+            serde_json::to_writer(std::io::sink(), &merged).map_err(|e| {
                 XtractError::ValidationFailed {
                     schema: "passthrough".to_string(),
                     reason: e.to_string(),
@@ -51,8 +66,8 @@ pub fn validate(
             Ok(MetadataRecord {
                 family: family.id,
                 schema: "passthrough".to_string(),
-                document: merged.clone(),
-                extractors: extractors.to_vec(),
+                document: merged,
+                extractors,
             })
         }
         ValidationSchema::Mdf(name) => {
@@ -85,12 +100,12 @@ pub fn validate(
                     "extractors": extractors,
                 }),
             );
-            doc.insert("extracted", serde_json::Value::Object(merged.0.clone()));
+            doc.insert("extracted", serde_json::Value::Object(merged.0));
             Ok(MetadataRecord {
                 family: family.id,
                 schema: name.clone(),
                 document: doc,
-                extractors: extractors.to_vec(),
+                extractors,
             })
         }
         ValidationSchema::Custom(name) => {
@@ -104,8 +119,8 @@ pub fn validate(
             Ok(MetadataRecord {
                 family: family.id,
                 schema: name.clone(),
-                document: merged.clone(),
-                extractors: extractors.to_vec(),
+                document: merged,
+                extractors,
             })
         }
     }

@@ -189,7 +189,9 @@ impl ComputeEndpoint {
         self.config.workers
     }
 
-    /// Enqueues a task. Returns an error immediately if the allocation has
+    /// Enqueues a task, creating its `Pending` row in the status table —
+    /// the only row a task ever gets: workers update it in place (see
+    /// [`set_status`]). Returns an error immediately if the allocation has
     /// expired (the task would only be marked lost anyway).
     pub(crate) fn enqueue(&self, item: WorkItem) -> Result<(), XtractError> {
         if self.expired.load(Ordering::Acquire) {
@@ -197,6 +199,7 @@ impl ComputeEndpoint {
             self.counters.lost.incr();
             return Err(XtractError::TaskLost { task: item.task });
         }
+        self.statuses.write().insert(item.task, TaskStatus::Pending);
         self.tx
             .as_ref()
             .expect("endpoint running")
@@ -266,6 +269,18 @@ impl WorkerCtx {
     }
 }
 
+/// Moves a task's row to `status` — if the row still exists. A row the
+/// owner has dropped ([`crate::FaasService::forget`]) stays dropped: the
+/// late write of a worker still running a forgotten task (a cancelled hedge
+/// loser, a straggler abandoned at poll-window expiry) lands nowhere, so a
+/// forgotten id polls as `Unknown` from then on and its result is freed
+/// here instead of parked in the table.
+fn set_status(statuses: &RwLock<HashMap<TaskId, TaskStatus>>, task: TaskId, status: TaskStatus) {
+    if let Some(row) = statuses.write().get_mut(&task) {
+        *row = status;
+    }
+}
+
 fn worker_loop(rx: &Receiver<WorkItem>, ctx: &WorkerCtx) {
     let WorkerCtx {
         statuses,
@@ -279,22 +294,28 @@ fn worker_loop(rx: &Receiver<WorkItem>, ctx: &WorkerCtx) {
     // The container this worker currently has warm.
     let mut warm: Option<ContainerId> = None;
     while let Ok(item) = rx.recv() {
+        let WorkItem {
+            task,
+            container,
+            body,
+            payload,
+        } = item;
         if expired.load(Ordering::Acquire) {
-            statuses.write().insert(item.task, TaskStatus::Lost);
+            set_status(statuses, task, TaskStatus::Lost);
             counters.lost.incr();
             continue;
         }
         // A task cancelled while queued is dropped without running.
-        if ctx.take_cancel(item.task) {
-            statuses.write().insert(item.task, TaskStatus::Cancelled);
+        if ctx.take_cancel(task) {
+            set_status(statuses, task, TaskStatus::Cancelled);
             counters.cancelled.incr();
             continue;
         }
-        statuses.write().insert(item.task, TaskStatus::Running);
+        set_status(statuses, task, TaskStatus::Running);
         if !cfg.dispatch_delay.is_zero() {
             std::thread::sleep(cfg.dispatch_delay);
         }
-        let was_warm = warm == Some(item.container);
+        let was_warm = warm == Some(container);
         if was_warm {
             counters.warm_hits.incr();
         } else {
@@ -302,27 +323,25 @@ fn worker_loop(rx: &Receiver<WorkItem>, ctx: &WorkerCtx) {
             if let Some(obs) = obs {
                 obs.journal.record(Event::ColdStart {
                     endpoint: cfg.endpoint,
-                    container: item.container.raw(),
+                    container: container.raw(),
                 });
             }
             if !cfg.cold_start.is_zero() {
                 std::thread::sleep(cfg.cold_start);
             }
-            warm = Some(item.container);
+            warm = Some(container);
         }
         // Decisions key on the task id: a resubmitted task gets a fresh id
         // and therefore a fresh roll, so injected crashes stay transient.
         let plan = faults.read().clone();
-        if plan
-            .as_ref()
-            .is_some_and(|p| p.worker_crashes(item.task.raw()))
-        {
+        if plan.as_ref().is_some_and(|p| p.worker_crashes(task.raw())) {
             // The container died mid-task: the next task pays a cold start.
             warm = None;
             counters.crashed.incr();
-            statuses.write().insert(
-                item.task,
-                TaskStatus::Failed(XtractError::WorkerCrashed { task: item.task }),
+            set_status(
+                statuses,
+                task,
+                TaskStatus::Failed(XtractError::WorkerCrashed { task }),
             );
             continue;
         }
@@ -334,26 +353,22 @@ fn worker_loop(rx: &Receiver<WorkItem>, ctx: &WorkerCtx) {
         // id and therefore a fresh roll).
         if let Some(p) = plan.as_ref() {
             if p.slow_link_delay_ms > 0
-                && p.link_degraded(&format!("/worker-read/{}", item.task.raw()), 0)
+                && p.link_degraded(&format!("/worker-read/{}", task.raw()), 0)
             {
                 std::thread::sleep(Duration::from_millis(p.slow_link_delay_ms));
             }
         }
-        let body = item.body.clone();
-        let payload = item.payload.clone();
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(move || body(payload)));
         counters.busy_us.add(started.elapsed().as_micros() as u64);
         // If the allocation expired while we were running, the result never
         // makes it back (§5.8.1) — the family must be resubmitted. An
         // injected heartbeat loss drops the result the same way.
-        let heartbeat_lost = plan
-            .as_ref()
-            .is_some_and(|p| p.heartbeat_lost(item.task.raw()));
+        let heartbeat_lost = plan.as_ref().is_some_and(|p| p.heartbeat_lost(task.raw()));
         let status = if expired.load(Ordering::Acquire) || heartbeat_lost {
             counters.lost.incr();
             TaskStatus::Lost
-        } else if ctx.take_cancel(item.task) {
+        } else if ctx.take_cancel(task) {
             // Cancelled mid-run: the body's result is discarded (the hedge
             // race was decided the other way). Unlike Lost, the owner must
             // not resubmit.
@@ -363,8 +378,8 @@ fn worker_loop(rx: &Receiver<WorkItem>, ctx: &WorkerCtx) {
             counters.executed.incr();
             match outcome {
                 Ok(Ok(value)) => TaskStatus::Done(TaskOutput {
-                    value,
-                    container: item.container,
+                    value: Arc::new(value),
+                    container,
                     warm_start: was_warm,
                 }),
                 Ok(Err(e)) => TaskStatus::Failed(e),
@@ -375,7 +390,7 @@ fn worker_loop(rx: &Receiver<WorkItem>, ctx: &WorkerCtx) {
                 }),
             }
         };
-        statuses.write().insert(item.task, status);
+        set_status(statuses, task, status);
     }
 }
 
@@ -422,7 +437,7 @@ mod tests {
         }
         for i in 0..16 {
             match wait_terminal(&table, TaskId::new(i)) {
-                TaskStatus::Done(out) => assert_eq!(out.value, json!({"echo": i})),
+                TaskStatus::Done(out) => assert_eq!(*out.value, json!({"echo": i})),
                 other => panic!("unexpected status {other:?}"),
             }
         }

@@ -10,6 +10,26 @@
 //! rely on. Heartbeats surface allocation expiry: after
 //! [`FaasService::expire_endpoint`], polls report in-flight tasks as
 //! [`TaskStatus::Lost`], and the orchestrator resubmits (§5.8.1).
+//!
+//! # Row lifetime
+//!
+//! The status table holds one row per submitted task, created by
+//! [`FaasService::batch_submit`] and updated in place by the workers. A
+//! `Done` row owns the task's result behind an `Arc`, so polling hands out
+//! handles, not copies. The service never drops a row on its own: the
+//! owner of a task calls [`FaasService::forget`] once it has what it needs
+//! (funcX likewise purges a result from its store when the client has
+//! retrieved it), and a service whose owners do so holds rows only for
+//! tasks in flight. `faas.tasks_tracked` gauges the table;
+//! [`FaasService::tracked_tasks`] lists it.
+//!
+//! # Lock order
+//!
+//! `task_endpoint` before `statuses`, and only
+//! `note_allocation_expired` holds both (it walks the owners to flip their
+//! rows). Everything else — submit, poll, cancel, `forget`, the workers —
+//! takes one of the two at a time, so a job forgetting settled tasks cannot
+//! deadlock against the watchdog or a sibling job expiring an endpoint.
 
 use crate::endpoint::{ComputeEndpoint, EndpointConfig, SharedFaultPlan, WorkItem};
 use crate::registry::FunctionRegistry;
@@ -20,7 +40,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use xtract_obs::{Counter, Event, MetricsHub, Obs};
+use xtract_obs::{Counter, Event, Gauge, MetricsHub, Obs};
 use xtract_types::id::IdAllocator;
 use xtract_types::{EndpointId, FaultPlan, FaultScope, Result, TaskId, XtractError};
 
@@ -37,6 +57,10 @@ pub struct ServiceStats {
     pub batches_submitted: Counter,
     /// Allocations auto-renewed by the lease watchdog.
     pub watchdog_renewals: Counter,
+    /// Rows in the status table: tasks submitted and not yet forgotten.
+    pub tasks_tracked: Gauge,
+    /// Rows dropped by [`FaasService::forget`].
+    pub tasks_forgotten: Counter,
 }
 
 impl ServiceStats {
@@ -48,6 +72,8 @@ impl ServiceStats {
             tasks_submitted: hub.counter("faas.tasks_submitted"),
             batches_submitted: hub.counter("faas.batches_submitted"),
             watchdog_renewals: hub.counter("watchdog.renewals"),
+            tasks_tracked: hub.gauge("faas.tasks_tracked"),
+            tasks_forgotten: hub.counter("faas.tasks_forgotten"),
         }
     }
 }
@@ -157,6 +183,8 @@ impl FaasService {
         self.stats.ws_requests.incr();
         self.stats.batches_submitted.incr();
         self.stats.tasks_submitted.add(specs.len() as u64);
+        // Every spec below gets exactly one row, whatever becomes of it.
+        self.stats.tasks_tracked.add(specs.len() as i64);
         if let Some(obs) = &self.obs {
             obs.journal.record(Event::BatchSubmitted {
                 tasks: specs.len() as u64,
@@ -213,7 +241,6 @@ impl FaasService {
             .ok_or(XtractError::NoComputeLayer {
                 endpoint: spec.endpoint,
             })?;
-        self.statuses.write().insert(id, TaskStatus::Pending);
         ep.enqueue(WorkItem {
             task: id,
             container: function.container,
@@ -223,9 +250,11 @@ impl FaasService {
     }
 
     /// Polls a batch of tasks in one web-service request. Ids the service
-    /// has never seen come back as [`TaskStatus::Unknown`] (terminal) —
-    /// reporting them `Pending`, as this used to, made pollers holding a
-    /// mistyped or never-submitted id spin forever.
+    /// has never seen — or has been told to [`forget`](Self::forget) — come
+    /// back as [`TaskStatus::Unknown`] (terminal): reporting them
+    /// `Pending`, as this used to, made pollers holding a mistyped or
+    /// never-submitted id spin forever. A `Done` status shares the row's
+    /// result (an `Arc` handle), it does not copy it.
     pub fn batch_poll(&self, ids: &[TaskId]) -> Vec<PolledTask> {
         self.stats.ws_requests.incr();
         let polled: Vec<PolledTask> = {
@@ -281,6 +310,41 @@ impl FaasService {
             std::thread::sleep(backoff.min(deadline - now));
             backoff = (backoff * 2).min(MAX_BACKOFF);
         }
+    }
+
+    /// Drops the rows of `ids` from the status table (and their endpoint
+    /// routing): the owner has retrieved what it needs, and whatever result
+    /// a row held is freed with the last handle to it. Ids without a row
+    /// are skipped. From here on a forgotten id polls as
+    /// [`TaskStatus::Unknown`], cannot be cancelled, and stays forgotten:
+    /// a worker still running the task — cancel it *before* forgetting it —
+    /// finds no row to write its late `Cancelled` (or result) into.
+    pub fn forget(&self, ids: &[TaskId]) {
+        // One lock at a time (see "Lock order" in the module docs): the
+        // rows go first, so an expiry sweep running in between finds an
+        // owner without a row and skips it.
+        let dropped = {
+            let mut statuses = self.statuses.write();
+            ids.iter()
+                .filter(|&id| statuses.remove(id).is_some())
+                .count()
+        };
+        {
+            let mut owners = self.task_endpoint.write();
+            for id in ids {
+                owners.remove(id);
+            }
+        }
+        self.stats.tasks_tracked.add(-(dropped as i64));
+        self.stats.tasks_forgotten.add(dropped as u64);
+    }
+
+    /// The ids with a row in the status table, ascending: every task
+    /// submitted and not yet forgotten, whatever its state.
+    pub fn tracked_tasks(&self) -> Vec<TaskId> {
+        let mut ids: Vec<TaskId> = self.statuses.read().keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Simulates an allocation expiry at `endpoint` (§5.8.1): queued and
@@ -465,7 +529,7 @@ mod tests {
         let polled = r.svc.batch_poll(&ids);
         for (i, p) in polled.iter().enumerate() {
             match &p.status {
-                TaskStatus::Done(out) => assert_eq!(out.value, json!({"out": i})),
+                TaskStatus::Done(out) => assert_eq!(*out.value, json!({"out": i})),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -619,6 +683,124 @@ mod tests {
     }
 
     #[test]
+    fn forgotten_rows_are_dropped_and_poll_as_unknown() {
+        let r = rig(2);
+        let ids = r.svc.batch_submit(&specs(&r, 4));
+        assert!(r.svc.wait_all(&ids, Duration::from_secs(5)));
+        assert_eq!(r.svc.tracked_tasks(), ids);
+        assert_eq!(r.svc.stats().tasks_tracked.get(), 4);
+
+        r.svc.forget(&ids[..2]);
+        assert_eq!(r.svc.tracked_tasks(), &ids[2..]);
+        let polled = r.svc.batch_poll(&ids);
+        assert_eq!(polled[0].status, TaskStatus::Unknown);
+        assert_eq!(polled[1].status, TaskStatus::Unknown);
+        assert!(matches!(polled[2].status, TaskStatus::Done(_)));
+        assert!(
+            !r.svc.cancel(ids[0]),
+            "a forgotten task cannot be cancelled"
+        );
+
+        // Forgetting twice, or an id never seen, drops nothing more.
+        r.svc.forget(&[ids[0], TaskId::new(99_999)]);
+        assert_eq!(r.svc.stats().tasks_tracked.get(), 2);
+        assert_eq!(r.svc.stats().tasks_forgotten.get(), 2);
+        r.svc.forget(&ids);
+        assert!(r.svc.tracked_tasks().is_empty());
+        assert_eq!(r.svc.stats().tasks_tracked.get(), 0);
+    }
+
+    #[test]
+    fn polls_share_the_result_instead_of_copying_it() {
+        let r = rig(1);
+        let ids = r.svc.batch_submit(&specs(&r, 1));
+        assert!(r.svc.wait_all(&ids, Duration::from_secs(5)));
+        let value = |polled: Vec<PolledTask>| match polled.into_iter().next().unwrap().status {
+            TaskStatus::Done(out) => out.value,
+            other => panic!("unexpected {other:?}"),
+        };
+        let first = value(r.svc.batch_poll(&ids));
+        let second = value(r.svc.batch_poll(&ids));
+        assert!(Arc::ptr_eq(&first, &second));
+        // Table row + the two handles; forgetting leaves only the handles.
+        assert_eq!(Arc::strong_count(&first), 3);
+        r.svc.forget(&ids);
+        assert_eq!(Arc::strong_count(&first), 2);
+    }
+
+    #[test]
+    fn late_write_for_a_forgotten_task_lands_nowhere() {
+        let r = rig(1);
+        let registry = r.svc.registry();
+        let c = registry.register_container("gated:1", ContainerRuntime::Docker, 0);
+        let (started_tx, started_rx) = crossbeam_channel::unbounded::<()>();
+        let (release_tx, release_rx) = crossbeam_channel::unbounded::<()>();
+        let gated: FunctionBody = Arc::new(move |v| {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+            Ok(v)
+        });
+        let f = registry
+            .register_function("gated", c, &[r.ep], gated)
+            .unwrap();
+        let straggler = r.svc.batch_submit(&[TaskSpec {
+            function: f,
+            endpoint: r.ep,
+            payload: json!("big result"),
+        }]);
+        // The body is running: cancel takes the best-effort path, and the
+        // owner walks away from the task.
+        started_rx.recv().unwrap();
+        assert!(r.svc.cancel(straggler[0]));
+        r.svc.forget(&straggler);
+        release_tx.send(()).unwrap();
+        // The single worker finishes the straggler before it runs this one.
+        let next = r.svc.batch_submit(&specs(&r, 1));
+        assert!(r.svc.wait_all(&next, Duration::from_secs(5)));
+        assert_eq!(r.svc.tracked_tasks(), next);
+        assert_eq!(r.svc.batch_poll(&straggler)[0].status, TaskStatus::Unknown);
+        assert_eq!(r.svc.stats().tasks_tracked.get(), 1);
+    }
+
+    #[test]
+    fn forgetting_never_deadlocks_against_expiry_sweeps() {
+        // A job forgets settled tasks one entry at a time while the
+        // watchdog (or a sibling job) expires and renews the endpoint:
+        // the sweep holds `task_endpoint` and wants `statuses`, so
+        // `forget` must never hold `statuses` and want `task_endpoint`.
+        let r = Arc::new(rig(2));
+        let ids = r.svc.batch_submit(&specs(&r, 4_000));
+        assert!(r.svc.wait_all(&ids, Duration::from_secs(10)));
+        let (done_tx, done_rx) = crossbeam_channel::unbounded::<()>();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // Detached, not scoped: a deadlock must fail the test, not hang
+        // the join.
+        {
+            let (r, stop) = (r.clone(), stop.clone());
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    r.svc.expire_endpoint(r.ep);
+                    r.svc.renew_endpoint(r.ep);
+                }
+            });
+        }
+        {
+            let (r, ids) = (r.clone(), ids.clone());
+            std::thread::spawn(move || {
+                for pair in ids.chunks(2) {
+                    r.svc.forget(pair);
+                }
+                let _ = done_tx.send(());
+            });
+        }
+        let finished = done_rx.recv_timeout(Duration::from_secs(20));
+        stop.store(true, Ordering::Relaxed);
+        assert!(finished.is_ok(), "forget deadlocked against expire/renew");
+        assert!(r.svc.tracked_tasks().is_empty());
+        assert_eq!(r.svc.stats().tasks_forgotten.get(), 4_000);
+    }
+
+    #[test]
     fn blackout_window_loses_submissions_then_recovers() {
         let r = rig(2);
         let mut plan = FaultPlan::new(8);
@@ -743,6 +925,10 @@ mod tests {
         // Stats intern in the shared hub...
         assert_eq!(obs.hub.counter_value("faas.tasks_submitted", None), 1);
         assert!(obs.hub.counter_value("faas.ws_requests", None) >= 2);
+        assert_eq!(obs.hub.gauge_value("faas.tasks_tracked", None), 1);
+        svc.forget(&ids);
+        assert_eq!(obs.hub.gauge_value("faas.tasks_tracked", None), 0);
+        assert_eq!(obs.hub.counter_value("faas.tasks_forgotten", None), 1);
         let ep_label = ep.to_string();
         assert_eq!(
             obs.hub.counter_value("endpoint.executed", Some(&ep_label)),

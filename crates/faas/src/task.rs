@@ -33,8 +33,11 @@ impl std::fmt::Debug for TaskSpec {
 /// A finished task's output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskOutput {
-    /// The function's return value.
-    pub value: Value,
+    /// The function's return value. Shared, not copied: every poll of a
+    /// finished task hands out another handle to the worker's one
+    /// allocation, and the owner that has made the service
+    /// [`forget`](crate::FaasService::forget) the task holds the last one.
+    pub value: Arc<Value>,
     /// Which container the task ran in (for warm/cold accounting tests).
     pub container: ContainerId,
     /// Whether the container was warm when the task arrived.
@@ -104,7 +107,7 @@ mod tests {
         })
         .is_terminal());
         assert!(TaskStatus::Done(TaskOutput {
-            value: Value::Null,
+            value: Arc::new(Value::Null),
             container: ContainerId::new(0),
             warm_start: false,
         })

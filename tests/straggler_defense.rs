@@ -201,6 +201,11 @@ fn hedging_beats_stragglers_and_allocation_expiry() {
         "hedged partition must stay exact"
     );
 
+    // Winner or loser, lost or cancelled: every task either run submitted
+    // was forgotten when its entry settled.
+    assert_eq!(base_svc.faas().tracked_tasks(), vec![]);
+    assert_eq!(svc.faas().tracked_tasks(), vec![]);
+
     // Exactly-once hedge accounting.
     assert!(launched > 0, "the chaos run must actually hedge");
     assert_eq!(
@@ -330,6 +335,10 @@ fn cancelled_hedge_loser_never_double_flushes_checkpoint() {
     assert!(launched > 0, "the slow primary must trigger hedges");
     assert_eq!(won, 0, "the primary always wins this race");
     assert_eq!(wasted, launched, "every hedge loser is accounted wasted");
+    // The losers are still waiting out the secondary's dispatch delay, and
+    // the fabric has already forgotten them along with the winners: their
+    // late `Cancelled` has no row to land in.
+    assert_eq!(svc.faas().tracked_tasks(), vec![]);
 
     // Free-text families run a single `keyword` step: exactly one
     // checkpoint flush per family, even though a speculative copy of
