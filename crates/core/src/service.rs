@@ -234,9 +234,9 @@ struct WaveEntry {
     breached: bool,
 }
 
-/// Everything a run needs from its recovery log: the open log itself plus
-/// the state replayed from it. Built once per job by
-/// [`XtractService::run_job_with_recovery`] / [`XtractService::resume_job`];
+/// The recovery log a run borrows, plus the replay facts the run only
+/// reads. Built once per job by [`XtractService::open_recovery`], which
+/// hands the state that replay *rebuilt* back beside it as a [`Replayed`];
 /// `resumed` is false when the log held no prior progress.
 pub(crate) struct RecoveryCtx {
     pub(crate) log: RecoveryLog,
@@ -247,6 +247,28 @@ pub(crate) struct RecoveryCtx {
     pub(crate) truncated: u64,
     /// Crawl totals from a replayed `CrawlCompleted` record.
     pub(crate) crawl: Option<(u64, u64, u64)>,
+    /// Committed waves replayed from the log — the adaptive batching
+    /// controller warm-starts from this count (its state is recomputed
+    /// from replayed evidence, never persisted).
+    pub(crate) waves: u64,
+    /// Root-WAL only: the last journaled lease epoch per shard
+    /// (`ShardEpoch` records). A restarted cross-process coordinator
+    /// replays these as the fencing floor each shard's next worker must
+    /// exceed before it is re-admitted.
+    pub(crate) shard_epochs: HashMap<u64, u64>,
+    /// Root-WAL only: the coordinator's last brokered placement per
+    /// family (`CustodyMoved` records) — the chain-walk hint for
+    /// hand-overs that crashed between out-record and in-record.
+    pub(crate) custody: HashMap<FamilyId, u64>,
+}
+
+/// The state a log replays into. Each piece has exactly one reader, the
+/// run the log is opened for, so it travels by value: the wave loop takes
+/// the replayed records over as its own bookkeeping instead of copying
+/// them, and no second handle to a step's metadata outlives the waves.
+/// Empty for a job without a log or with a fresh one.
+#[derive(Default)]
+pub(crate) struct Replayed {
     /// The journaled family plan, in placement order — replaying it skips
     /// the crawl and pins family identity across the resume.
     pub(crate) planned: Vec<Family>,
@@ -261,22 +283,6 @@ pub(crate) struct RecoveryCtx {
     /// Crash points already recorded, in order — their count is the
     /// cursor into the fault plan's ordered crash schedule.
     pub(crate) crash_points: Vec<String>,
-    /// Committed waves replayed from the log — the adaptive batching
-    /// controller warm-starts from this count (its state is recomputed
-    /// from replayed evidence, never persisted).
-    pub(crate) waves: u64,
-    /// Replayed `FamilyMigrated` records, in journal order — restated
-    /// by compaction snapshots so ownership survives segment pruning.
-    pub(crate) migrations: Vec<RecoveryRecord>,
-    /// Root-WAL only: the last journaled lease epoch per shard
-    /// (`ShardEpoch` records). A restarted cross-process coordinator
-    /// replays these as the fencing floor each shard's next worker must
-    /// exceed before it is re-admitted.
-    pub(crate) shard_epochs: HashMap<u64, u64>,
-    /// Root-WAL only: the coordinator's last brokered placement per
-    /// family (`CustodyMoved` records) — the chain-walk hint for
-    /// hand-overs that crashed between out-record and in-record.
-    pub(crate) custody: HashMap<FamilyId, u64>,
 }
 
 /// The run's armed scheduled-crash entry, if any: entry `k` of
@@ -939,17 +945,24 @@ impl XtractService {
             }
             return result;
         }
-        let rec = match dir {
-            Some(dir) => Some(self.open_recovery(spec, dir, None)?),
-            None => None,
-        };
+        let (rec, replayed) = dir
+            .map(|dir| self.open_recovery(spec, dir, None))
+            .transpose()?
+            .unzip();
 
         // Arm the job's structured fault plan on both substrates for the
         // duration of the run (and disarm afterwards, pass or fail).
         if let Some(plan) = &spec.fault_plan {
             self.arm_faults(plan);
         }
-        let result = self.run_job_inner(token, spec, rec.as_ref(), tenant, None);
+        let result = self.run_job_inner(
+            token,
+            spec,
+            rec.as_ref(),
+            replayed.unwrap_or_default(),
+            tenant,
+            None,
+        );
         if spec.fault_plan.is_some() {
             self.clear_faults();
         }
@@ -972,7 +985,9 @@ impl XtractService {
     }
 
     /// Opens the recovery log at `dir` and replays it into a
-    /// [`RecoveryCtx`], emitting the recovery observability surface:
+    /// [`RecoveryCtx`] and the [`Replayed`] state beside it (the replayed
+    /// records move into that state; nothing is copied out of them),
+    /// emitting the recovery observability surface:
     /// `recovery.replayed` / `recovery.truncated` counters account for
     /// every record the log held (valid and torn respectively), and the
     /// journal records the open, any truncation, any finished
@@ -982,7 +997,7 @@ impl XtractService {
         spec: &JobSpec,
         dir: &Path,
         label: Option<&str>,
-    ) -> Result<RecoveryCtx> {
+    ) -> Result<(RecoveryCtx, Replayed)> {
         let fingerprint = spec_fingerprint(spec);
         let (log, replay) = RecoveryLog::open(dir, spec.recovery)?;
         // Sharded runs label the recovery counters per shard WAL;
@@ -1013,24 +1028,21 @@ impl XtractService {
             replayed: replay.records.len() as u64,
             truncated: replay.truncated_records,
             crawl: None,
-            planned: Vec::new(),
-            steps: Vec::new(),
-            charges: HashMap::new(),
-            dead: HashMap::new(),
-            crash_points: Vec::new(),
             waves: 0,
-            migrations: Vec::new(),
             shard_epochs: HashMap::new(),
             custody: HashMap::new(),
         };
-        let effective = replay.effective();
+        let mut state = Replayed::default();
+        let found = replay.fingerprint();
+        let boundary_segment = replay.boundary_segment;
+        let effective = replay.into_effective();
         if effective.is_empty() {
             // A fresh log: stamp the job identity before anything else.
             ctx.log
                 .append(&RecoveryRecord::JobStarted { fingerprint })?;
-            return Ok(ctx);
+            return Ok((ctx, state));
         }
-        if let Some(found) = replay.fingerprint() {
+        if let Some(found) = found {
             if found != fingerprint {
                 return Err(XtractError::SpecFingerprintMismatch {
                     expected: fingerprint,
@@ -1040,7 +1052,7 @@ impl XtractService {
         }
         // Finish a compaction a crash interrupted: the snapshot segment
         // is already durable, the stale history just never got unlinked.
-        if let Some(boundary) = replay.boundary_segment {
+        if let Some(boundary) = boundary_segment {
             let removed = ctx.log.finish_compaction(boundary)?;
             if removed > 0 {
                 self.obs.journal.record(Event::SnapshotCompacted {
@@ -1063,24 +1075,24 @@ impl XtractService {
                     groups,
                     redundant_files,
                 } => {
-                    ctx.crawl = Some((*crawled_files, *groups, *redundant_files));
+                    ctx.crawl = Some((crawled_files, groups, redundant_files));
                     // A fresh crawl supersedes any earlier plan.
                     planned.clear();
                     slot_of.clear();
                 }
                 RecoveryRecord::FamilyPlanned { family } => {
                     slot_of.insert(family.id, planned.len());
-                    planned.push(Some(family.clone()));
+                    planned.push(Some(family));
                 }
-                RecoveryRecord::StepCompleted { .. } => ctx.steps.push(r.clone()),
+                RecoveryRecord::StepCompleted { .. } => state.steps.push(r),
                 RecoveryRecord::RetryCharged { family, amount } => {
-                    *ctx.charges.entry(*family).or_insert(0) += amount;
+                    *state.charges.entry(family).or_insert(0) += amount;
                 }
                 RecoveryRecord::DeadLettered { letter } => {
                     // Latest per family wins, matching the store.
-                    ctx.dead.insert(letter.family, letter.clone());
+                    state.dead.insert(letter.family, letter);
                 }
-                RecoveryRecord::CrashRecorded { point } => ctx.crash_points.push(point.clone()),
+                RecoveryRecord::CrashRecorded { point } => state.crash_points.push(point),
                 RecoveryRecord::WaveCommitted { .. } => ctx.waves += 1,
                 RecoveryRecord::FamilyMigrated {
                     family,
@@ -1089,7 +1101,7 @@ impl XtractService {
                     charges,
                     ..
                 } => {
-                    if *adopted {
+                    if adopted {
                         // The family moved here: (re)plan it and carry
                         // its cross-shard progress — steps re-stated as
                         // StepCompleted so fast-forward and checkpoint
@@ -1097,38 +1109,37 @@ impl XtractService {
                         if let Some(old) = slot_of.insert(family.id, planned.len()) {
                             planned[old] = None;
                         }
-                        planned.push(Some(family.clone()));
-                        for s in steps {
-                            ctx.steps.push(RecoveryRecord::StepCompleted {
+                        state.steps.extend(steps.into_iter().map(|s| {
+                            RecoveryRecord::StepCompleted {
                                 family: family.id,
                                 kind: s.kind,
-                                metadata: Arc::clone(&s.metadata),
-                                discoveries: s.discoveries.clone(),
-                            });
-                        }
-                        let cur = ctx.charges.entry(family.id).or_insert(0);
-                        *cur = (*cur).max(*charges);
+                                metadata: s.metadata,
+                                discoveries: s.discoveries,
+                            }
+                        }));
+                        let cur = state.charges.entry(family.id).or_insert(0);
+                        *cur = (*cur).max(charges);
+                        planned.push(Some(family));
                     } else if let Some(old) = slot_of.remove(&family.id) {
                         planned[old] = None;
                     }
-                    ctx.migrations.push(r.clone());
                 }
                 RecoveryRecord::ShardEpoch { shard, epoch } => {
-                    let cur = ctx.shard_epochs.entry(*shard).or_insert(0);
-                    *cur = (*cur).max(*epoch);
+                    let cur = ctx.shard_epochs.entry(shard).or_insert(0);
+                    *cur = (*cur).max(epoch);
                 }
                 RecoveryRecord::CustodyMoved { family, to, .. } => {
-                    ctx.custody.insert(*family, *to);
+                    ctx.custody.insert(family, to);
                 }
                 _ => {}
             }
         }
-        ctx.planned = planned.into_iter().flatten().collect();
+        state.planned = planned.into_iter().flatten().collect();
         self.obs.journal.record(Event::JobResumed {
             replayed: ctx.replayed,
             truncated: ctx.truncated,
         });
-        Ok(ctx)
+        Ok((ctx, state))
     }
 
     pub(crate) fn run_job_inner(
@@ -1136,6 +1147,7 @@ impl XtractService {
         token: Token,
         spec: &JobSpec,
         rec: Option<&RecoveryCtx>,
+        replayed: Replayed,
         tenant: Option<&Arc<TenantCtx>>,
         shard: Option<&dyn ShardLink>,
     ) -> Result<JobReport> {
@@ -1167,15 +1179,19 @@ impl XtractService {
         // charges already journaled per family (wave commits journal the
         // delta), dead letters journaled per family (latest wins), and
         // the crash points already recorded — plus the armed kill, if the
-        // fault plan schedules one for this run segment.
-        let mut wal_steps: Vec<RecoveryRecord> = Vec::new();
+        // fault plan schedules one for this run segment. What the log
+        // replayed seeds them, by move: this run is its only reader.
+        let Replayed {
+            planned,
+            steps: mut wal_steps,
+            charges: mut wal_charges,
+            dead: mut wal_dead,
+            crash_points: wal_crashes,
+        } = replayed;
         // Where each family's records sit in `wal_steps`, in journal order:
         // resume fast-forward and the donation hand-off walk a family's own
         // steps instead of scanning every step of the job per family.
         let mut steps_of: HashMap<FamilyId, Vec<usize>> = HashMap::new();
-        let mut wal_charges: HashMap<FamilyId, u32> = HashMap::new();
-        let mut wal_dead: HashMap<FamilyId, DeadLetter> = HashMap::new();
-        let mut wal_crashes: Vec<String> = Vec::new();
         // Migration records journaled *this run segment* (sharded runs
         // only). Snapshots restate them after the planned families, so
         // compaction preserves mid-run ownership changes: an adopted
@@ -1207,7 +1223,6 @@ impl XtractService {
             // and the retry ledger pre-charges attempts prior runs already
             // spent. Dead letters ride in `wal_dead` alone: nothing here
             // asks the checkpoint about them.
-            wal_steps = ctx.steps.clone();
             for (i, r) in wal_steps.iter().enumerate() {
                 if let RecoveryRecord::StepCompleted {
                     family,
@@ -1222,14 +1237,11 @@ impl XtractService {
             }
             {
                 let mut l = ledger.lock();
-                for (f, n) in &ctx.charges {
+                for (f, n) in &wal_charges {
                     l.precharge(*f, *n);
                 }
             }
-            wal_charges = ctx.charges.clone();
-            wal_dead = ctx.dead.clone();
-            wal_crashes = ctx.crash_points.clone();
-            crash = CrashSchedule::arm(spec.fault_plan.as_ref(), ctx.crash_points.len() as u64);
+            crash = CrashSchedule::arm(spec.fault_plan.as_ref(), wal_crashes.len() as u64);
             // Re-converge the serving index: fold each family's journaled
             // steps, in journal order — the same order the live run folded
             // (and ingested) them — so a resumed job's index ends up
@@ -1302,15 +1314,14 @@ impl XtractService {
         // replaying `FamilyPlanned` records both saves the re-crawl and
         // pins family identity — ids match the original run even though
         // the allocator has moved on.
-        let resumed_plan = rec.is_some_and(|c| c.resumed && !c.planned.is_empty());
-        let mut families: Vec<Family> = Vec::new();
+        let resumed_plan = rec.is_some_and(|c| c.resumed) && !planned.is_empty();
+        let mut families: Vec<Family> = planned;
         if resumed_plan {
             let ctx = rec.expect("resumed_plan implies a recovery ctx");
             let (crawled, groups, redundant) = ctx.crawl.unwrap_or((0, 0, 0));
             report.crawled_files = crawled;
             report.groups = groups;
             report.redundant_files = redundant;
-            families = ctx.planned.clone();
         } else {
             self.crawl_and_plan(spec, &mut report, &mut families)?;
         }
@@ -1432,11 +1443,9 @@ impl XtractService {
                 // activates again: its journaled letter ships straight to
                 // the report, and no extractor is re-invoked for it — the
                 // zero-duplicate-invocation invariant for poisoned files.
-                if let Some(ctx) = rec {
-                    if let Some(letter) = ctx.dead.get(&family.id) {
-                        report.failures.push(letter.clone());
-                        continue;
-                    }
+                if let Some(letter) = wal_dead.get(&family.id) {
+                    report.failures.push(letter.clone());
+                    continue;
                 }
                 let origin_files = family.files.clone();
                 let origin_source = family.source;

@@ -776,14 +776,16 @@ pub(crate) fn prepare_root(
     started: Instant,
 ) -> Result<RootPlan> {
     let mut report = JobReport::default();
-    let root = service.open_recovery(spec, dir, Some("root"))?;
+    // Of the root WAL's replayed state only the plan has a reader: the
+    // root journals no steps, charges or dead letters of its own.
+    let (root, replayed) = service.open_recovery(spec, dir, Some("root"))?;
     let t_crawl0 = started.elapsed().as_secs_f64();
-    let plan: Vec<Family> = if root.resumed && !root.planned.is_empty() {
+    let plan: Vec<Family> = if root.resumed && !replayed.planned.is_empty() {
         let (crawled, groups, redundant) = root.crawl.unwrap_or((0, 0, 0));
         report.crawled_files = crawled;
         report.groups = groups;
         report.redundant_files = redundant;
-        root.planned.clone()
+        replayed.planned
     } else {
         let mut families = Vec::new();
         service.crawl_and_plan(spec, &mut report, &mut families)?;
@@ -896,12 +898,13 @@ pub(crate) fn run_sharded(
                 let label = format!("shard-{k}");
                 let result = (|| {
                     let lease = LogDirLease::acquire(sd)?;
-                    let ctx = service.open_recovery(sub_spec, sd, Some(&label))?;
+                    let (ctx, replayed) = service.open_recovery(sub_spec, sd, Some(&label))?;
                     ctx.log.set_fence(&lease);
                     let rep = service.run_job_inner(
                         token,
                         sub_spec,
                         Some(&ctx),
+                        replayed,
                         tenant,
                         Some(&ctl as &dyn ShardLink),
                     )?;

@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use xtract_datafabric::{AuthService, DataFabric, LocalFs, MemFs, Scope, Token};
-use xtract_obs::{Event, Obs};
+use xtract_obs::{Counter, Event, Obs};
 use xtract_types::config::ContainerRuntime;
 use xtract_types::{
     DeadLetter, EndpointId, EndpointSpec, FamilyId, GroupingStrategy, JobSpec, Result, XtractError,
@@ -140,17 +140,27 @@ fn decode<T: serde::de::DeserializeOwned>(payload: &[u8]) -> Result<T> {
 }
 
 /// One framed, counted connection end. Every send/recv bumps the
-/// `transport.*` counters so a run's chattiness is observable.
+/// `transport.*` counters so a run's chattiness is observable; the two
+/// cells are interned once per connection, not once per frame.
 struct Framed {
     stream: UnixStream,
-    obs: Obs,
+    frames_sent: Counter,
+    frames_recv: Counter,
 }
 
 impl Framed {
+    fn new(stream: UnixStream, obs: &Obs) -> Self {
+        Self {
+            stream,
+            frames_sent: obs.hub.counter("transport.frames_sent"),
+            frames_recv: obs.hub.counter("transport.frames_recv"),
+        }
+    }
+
     fn send<T: Serialize>(&mut self, msg: &T) -> Result<()> {
         let payload = serde_json::to_vec(msg).map_err(|e| tfail(format!("encode: {e}")))?;
         write_frame(&mut self.stream, &payload)?;
-        self.obs.hub.counter("transport.frames_sent").add(1);
+        self.frames_sent.add(1);
         Ok(())
     }
 
@@ -162,7 +172,7 @@ impl Framed {
     /// decoding it.
     fn recv_raw(&mut self) -> Result<Vec<u8>> {
         let payload = read_frame(&mut self.stream)?;
-        self.obs.hub.counter("transport.frames_recv").add(1);
+        self.frames_recv.add(1);
         Ok(payload)
     }
 }
@@ -508,10 +518,7 @@ pub fn run_worker(root: &Path, shard: usize) -> Result<()> {
     let lease = LogDirLease::acquire(&sd)?;
     let stream = UnixStream::connect(root.join(COORD_SOCK))
         .map_err(|e| tfail(format!("connect coordinator: {e}")))?;
-    let conn = Arc::new(Mutex::new(Framed {
-        stream,
-        obs: service.obs.clone(),
-    }));
+    let conn = Arc::new(Mutex::new(Framed::new(stream, &service.obs)));
 
     // Hello/Welcome before the WAL is touched: a refused worker must
     // leave no trace.
@@ -547,7 +554,7 @@ pub fn run_worker(root: &Path, shard: usize) -> Result<()> {
         service.arm_faults(plan);
     }
     let label = format!("shard-{shard}");
-    let ctx = service.open_recovery(&sub_spec, &sd, Some(&label))?;
+    let (ctx, replayed) = service.open_recovery(&sub_spec, &sd, Some(&label))?;
     ctx.log.set_fence(&lease);
     let mut client = ShardClient::start(
         shard,
@@ -559,6 +566,7 @@ pub fn run_worker(root: &Path, shard: usize) -> Result<()> {
         token,
         &sub_spec,
         Some(&ctx),
+        replayed,
         None,
         Some(&client as &dyn ShardLink),
     );
@@ -644,10 +652,7 @@ fn serve_connection(
     started: Instant,
     tx: &mpsc::Sender<Ev>,
 ) {
-    let mut framed = Framed {
-        stream,
-        obs: obs.clone(),
-    };
+    let mut framed = Framed::new(stream, obs);
     let Ok(first) = framed.recv::<WorkerMsg>() else {
         return;
     };
@@ -1105,22 +1110,18 @@ pub fn run_proc_sharded(
 pub fn measure_wire_roundtrip(n: usize) -> Result<Duration> {
     let (a, b) = UnixStream::pair().map_err(|e| tfail(format!("socketpair: {e}")))?;
     let obs = Obs::new();
-    let echo_obs = obs.clone();
+    let mut peer = Framed::new(b, &obs);
     let echo = std::thread::spawn(move || {
-        let mut framed = Framed {
-            stream: b,
-            obs: echo_obs,
-        };
         for _ in 0..n {
-            if framed.recv::<WorkerMsg>().is_err() {
+            if peer.recv::<WorkerMsg>().is_err() {
                 return;
             }
-            if framed.send(&CoordMsg::Steal { steal: None }).is_err() {
+            if peer.send(&CoordMsg::Steal { steal: None }).is_err() {
                 return;
             }
         }
     });
-    let mut framed = Framed { stream: a, obs };
+    let mut framed = Framed::new(a, &obs);
     let t0 = Instant::now();
     for _ in 0..n {
         framed.send(&WorkerMsg::TakeSteal)?;
@@ -1187,14 +1188,8 @@ mod tests {
     fn worker_messages_survive_the_wire() {
         let (mut a, mut b) = UnixStream::pair().unwrap();
         let obs = Obs::new();
-        let mut left = Framed {
-            stream: a.try_clone().unwrap(),
-            obs: obs.clone(),
-        };
-        let mut right = Framed {
-            stream: b.try_clone().unwrap(),
-            obs: obs.clone(),
-        };
+        let mut left = Framed::new(a.try_clone().unwrap(), &obs);
+        let mut right = Framed::new(b.try_clone().unwrap(), &obs);
         left.send(&WorkerMsg::Hello {
             shard: 3,
             pid: 4242,
@@ -1221,14 +1216,8 @@ mod tests {
     fn a_report_follows_finished_in_a_frame_of_its_own() {
         let (a, b) = UnixStream::pair().unwrap();
         let obs = Obs::new();
-        let mut worker = Framed {
-            stream: a,
-            obs: obs.clone(),
-        };
-        let mut handler = Framed {
-            stream: b,
-            obs: obs.clone(),
-        };
+        let mut worker = Framed::new(a, &obs);
+        let mut handler = Framed::new(b, &obs);
         let report = JobReport {
             families: 11,
             waves: 3,
