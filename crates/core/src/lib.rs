@@ -18,12 +18,12 @@
 //!   Table 2);
 //! * [`validator`] — schema validation/transformation of finished records
 //!   (§3 "Validation");
-//! * [`checkpoint`] — the checkpoint-flag store behind the §5.8.1
-//!   restart;
 //! * [`recovery`] — the durable write-ahead recovery log (segmented,
 //!   CRC-framed) that makes orchestrator crashes survivable: every
 //!   commit-worthy transition is journaled, and `resume_job` replays the
-//!   log into the state an uninterrupted run would hold;
+//!   log into the state an uninterrupted run would hold. Each family's
+//!   step list over this log is the §5.8.1 checkpoint flag: a resubmitted
+//!   family re-loads what it already flushed;
 //! * [`resilience`] — per-endpoint circuit breakers and per-family retry
 //!   budgets driving the recovery policy (see `DESIGN.md`, "Fault
 //!   tolerance & failure semantics");
@@ -66,7 +66,6 @@
 pub mod adaptive;
 pub mod batcher;
 pub mod campaign;
-pub mod checkpoint;
 pub mod crawlmodel;
 pub mod dedup;
 pub mod families;

@@ -81,11 +81,6 @@ impl ExtractionPlan {
         }
     }
 
-    /// Marks `kind` finished without discoveries.
-    pub fn complete_simple(&mut self, kind: ExtractorKind) {
-        self.complete(kind, &[]);
-    }
-
     /// True when nothing remains.
     pub fn is_done(&self) -> bool {
         self.pending.is_empty()
@@ -135,7 +130,7 @@ mod tests {
             let mut p = plan.clone();
             move || {
                 let k = p.next()?;
-                p.complete_simple(k);
+                p.complete(k, &[]);
                 Some(k)
             }
         })
@@ -157,7 +152,7 @@ mod tests {
         let mut rest = Vec::new();
         while let Some(k) = plan.next() {
             rest.push(k);
-            plan.complete_simple(k);
+            plan.complete(k, &[]);
         }
         assert_eq!(rest, vec![ExtractorKind::Tabular, ExtractorKind::NullValue]);
         assert!(plan.is_done());
@@ -180,7 +175,7 @@ mod tests {
         let mut plan = ExtractionPlan::fixed(&[ExtractorKind::Keyword, ExtractorKind::Bert]);
         assert_eq!(plan.len(), 2);
         let k = plan.next().unwrap();
-        plan.complete_simple(k);
+        plan.complete(k, &[]);
         assert_eq!(plan.len(), 2);
         assert_eq!(plan.completed().count(), 1);
     }

@@ -361,12 +361,10 @@ pub enum RecoveryRecord {
         family: FamilyId,
         /// The extractor that ran.
         kind: ExtractorKind,
-        /// The step's metadata output. Shared (`Arc`) with the
-        /// checkpoint store's copy of the same step, so journaling a
-        /// result costs a pointer bump, not a deep clone — and a record
-        /// can be pushed to both the WAL batch and the wave's flush list
-        /// without duplicating the payload. Serializes transparently:
-        /// the on-disk frame is byte-identical to the pre-`Arc` format.
+        /// The step's metadata output. Shared (`Arc`) with the owning
+        /// family's step list, so journaling a result costs a pointer
+        /// bump, not a deep clone. Serializes transparently: the on-disk
+        /// frame is byte-identical to the pre-`Arc` format.
         metadata: Arc<Metadata>,
         /// Type discoveries the step reported — journaled so a resumed
         /// plan still extends with the extractors they imply (a replay
@@ -495,15 +493,17 @@ impl RecoveryRecord {
     }
 }
 
-/// One completed `(extractor, metadata)` step carried inside a
-/// [`RecoveryRecord::FamilyMigrated`] record — the same payload a
-/// [`RecoveryRecord::StepCompleted`] holds, minus the family id (the
-/// enclosing migration names it once).
+/// One completed `(extractor, metadata)` step — the same payload a
+/// [`RecoveryRecord::StepCompleted`] holds, minus the family id: what a
+/// family's in-memory step list is made of, what a
+/// [`RecoveryRecord::FamilyMigrated`] record carries (the enclosing
+/// migration names the family once), and what a log replays into.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MigratedStep {
     /// The extractor that ran.
     pub kind: ExtractorKind,
-    /// The step's metadata output (shared with the checkpoint store).
+    /// The step's metadata output (shared with whichever records
+    /// journal it).
     pub metadata: Arc<Metadata>,
     /// Type discoveries the step reported.
     #[serde(default)]
@@ -1044,7 +1044,6 @@ impl RecoveryLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{CheckpointImage, CheckpointStore};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1738,7 +1737,7 @@ mod tests {
         assert_ne!(spec_fingerprint(&other), base);
     }
 
-    // -- proptest: CheckpointImage through JSON and through the log -----
+    // -- proptest: records through JSON and through the log -------------
 
     fn arb_metadata() -> impl Strategy<Value = Metadata> {
         proptest::collection::vec(("[a-z]{1,8}", -1000i64..1000), 0..4).prop_map(|pairs| {
@@ -1783,103 +1782,47 @@ mod tests {
             })
     }
 
-    fn arb_image() -> impl Strategy<Value = CheckpointImage> {
-        (
-            // Extractor names are drawn from the real taxonomy so the
-            // image ↔ WAL mapping below can recover the typed kind.
-            proptest::collection::vec(
-                (0u64..64, 0usize..ExtractorKind::ALL.len(), arb_metadata()),
-                0..12,
-            ),
-            proptest::collection::vec(arb_dead_letter(), 0..4),
+    /// Steps and dead letters, the two payload-carrying records: extractor
+    /// kinds from the real taxonomy, families and letters repeating freely
+    /// (the log is a journal, not a table).
+    fn arb_records() -> impl Strategy<Value = Vec<RecoveryRecord>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (0u64..64, 0usize..ExtractorKind::ALL.len(), arb_metadata()).prop_map(
+                    |(family, kind, metadata)| RecoveryRecord::StepCompleted {
+                        family: FamilyId::new(family),
+                        kind: ExtractorKind::ALL[kind],
+                        metadata: Arc::new(metadata),
+                        discoveries: Vec::new(),
+                    }
+                ),
+                arb_dead_letter().prop_map(|letter| RecoveryRecord::DeadLettered { letter }),
+            ],
+            0..16,
         )
-            .prop_map(|(entries, mut dead_letters)| {
-                // The store the image came from holds one metadata per
-                // (family, extractor) and one letter per family: dedupe
-                // the raw generated lists the same way.
-                let store = CheckpointStore::new();
-                for (f, e, m) in entries {
-                    store.flush(FamilyId::new(f), ExtractorKind::ALL[e].name(), Arc::new(m));
-                }
-                dead_letters.sort_by_key(|l| l.family);
-                dead_letters.dedup_by_key(|l| l.family);
-                let mut image = store.image();
-                image.dead_letters = dead_letters;
-                image
-            })
-    }
-
-    fn kind_by_name(name: &str) -> ExtractorKind {
-        ExtractorKind::ALL
-            .iter()
-            .copied()
-            .find(|k| k.name() == name)
-            .expect("image entries use taxonomy names")
-    }
-
-    /// An image encoded as WAL records, the way the service journals it.
-    fn image_to_records(image: &CheckpointImage) -> Vec<RecoveryRecord> {
-        let mut records = Vec::new();
-        for e in &image.entries {
-            records.push(RecoveryRecord::StepCompleted {
-                family: e.family,
-                kind: kind_by_name(&e.extractor),
-                metadata: Arc::clone(&e.metadata),
-                discoveries: Vec::new(),
-            });
-        }
-        for l in &image.dead_letters {
-            records.push(RecoveryRecord::DeadLettered { letter: l.clone() });
-        }
-        records
-    }
-
-    /// Rebuilds an image from replayed records.
-    fn records_to_image(records: &[RecoveryRecord]) -> CheckpointImage {
-        let store = CheckpointStore::new();
-        for r in records {
-            match r {
-                RecoveryRecord::StepCompleted {
-                    family,
-                    kind,
-                    metadata,
-                    ..
-                } => store.restore(*family, kind.name(), Arc::clone(metadata)),
-                RecoveryRecord::DeadLettered { letter } => store.record_dead_letter(letter.clone()),
-                _ => {}
-            }
-        }
-        store.image()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn image_roundtrips_through_json(image in arb_image()) {
-            let json = serde_json::to_vec(&image).unwrap();
-            let back: CheckpointImage = serde_json::from_slice(&json).unwrap();
-            prop_assert_eq!(back, image);
+        fn records_roundtrip_through_json(records in arb_records()) {
+            let json = serde_json::to_vec(&records).unwrap();
+            let back: Vec<RecoveryRecord> = serde_json::from_slice(&json).unwrap();
+            prop_assert_eq!(back, records);
         }
 
         #[test]
-        fn image_roundtrips_through_the_log(image in arb_image(), seg in 64u64..4096) {
+        fn records_roundtrip_through_the_log(records in arb_records(), seg in 64u64..4096) {
             let dir = tempdir("prop-log");
             let policy = RecoveryPolicy { segment_bytes: seg, ..RecoveryPolicy::default() };
-            let records = image_to_records(&image);
             {
                 let (log, _) = RecoveryLog::open(&dir, policy).unwrap();
                 log.append_batch(&records).unwrap();
             }
             let (_, replay) = RecoveryLog::open(&dir, policy).unwrap();
             prop_assert_eq!(replay.truncated_records, 0);
-            let mut sorted_letters = records_to_image(&replay.records);
-            let mut expect = image.clone();
-            // record_dead_letter preserves arrival order; the generated
-            // image's letters are sorted by family already.
-            sorted_letters.dead_letters.sort_by_key(|l| l.family);
-            expect.dead_letters.sort_by_key(|l| l.family);
-            prop_assert_eq!(sorted_letters, expect);
+            prop_assert_eq!(replay.records, records);
             std::fs::remove_dir_all(&dir).ok();
         }
 
@@ -1896,12 +1839,11 @@ mod tests {
 
         #[test]
         fn torn_tail_recovers_every_record_before_the_tear(
-            image in arb_image(),
+            records in arb_records(),
             torn_family in 0u64..64,
         ) {
             let dir = tempdir("prop-torn");
             let policy = RecoveryPolicy::default();
-            let records = image_to_records(&image);
             {
                 let (log, _) = RecoveryLog::open(&dir, policy).unwrap();
                 log.append_batch(&records).unwrap();
@@ -1909,8 +1851,7 @@ mod tests {
             }
             let (_, replay) = RecoveryLog::open(&dir, policy).unwrap();
             prop_assert_eq!(replay.truncated_records, 1);
-            prop_assert_eq!(replay.records.len(), records.len());
-            prop_assert_eq!(records_to_image(&replay.records), records_to_image(&records));
+            prop_assert_eq!(replay.records, records);
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -22,8 +22,9 @@
 //!    it and its output is decoded by value — one live copy of a result,
 //!    see DESIGN.md "Result path"), applies the results in entry order,
 //!    extends plans with discoveries, and resubmits lost tasks (heartbeat
-//!    semantics, §5.8.1) — with the checkpoint store skipping work that
-//!    already flushed. A
+//!    semantics, §5.8.1). A family's own step list is the checkpoint: its
+//!    plan cursor advances with the step that completes it, so a
+//!    resubmitted family never repeats work that already flushed. A
 //!    [`HealthTracker`] watches every endpoint: enough consecutive
 //!    failures open its circuit breaker, families parked on a dark
 //!    endpoint reroute to a healthy one (bytes re-staged from the
@@ -40,7 +41,6 @@
 
 use crate::adaptive::{AdaptiveTuner, BatchLimits, BatchTuner, TuneDecision, WaveEvidence};
 use crate::batcher::{Batcher, XtractBatch};
-use crate::checkpoint::CheckpointStore;
 use crate::families::build_families;
 use crate::offload::{Offloader, Placement};
 use crate::payload::{decode_owned, encode_batch, make_function_body, FamilyResult};
@@ -130,12 +130,12 @@ pub struct JobReport {
 struct ActiveFamily {
     family: Family,
     plan: ExtractionPlan,
-    /// The metadata of every completed step, in completion order: handles
-    /// to the allocations the WAL restatement list and the checkpoint
-    /// share, not copies. The family's document is their fold
+    /// Every completed step, in completion order — the only in-memory
+    /// record of a finished step: replayed and carried steps land here by
+    /// value, snapshots restate it, a donation moves it out with the
+    /// family, and the family's document is the fold of its metadata
     /// ([`fold_steps`]), built where it is consumed.
-    steps: Vec<Arc<Metadata>>,
-    ran: Vec<String>,
+    steps: Vec<MigratedStep>,
     exec: EndpointId,
     attempts: HashMap<ExtractorKind, u32>,
     failed: Option<FailureReason>,
@@ -183,6 +183,24 @@ fn fold_steps(steps: impl IntoIterator<Item = Arc<Metadata>>) -> Metadata {
     document
 }
 
+/// The provenance list of a family: the extractors behind its steps, in
+/// completion order.
+fn extractors_of(steps: &[MigratedStep]) -> Vec<String> {
+    steps.iter().map(|s| s.kind.name().to_string()).collect()
+}
+
+/// A family's merged-so-far document as the serving index holds it between
+/// waves, under schema `"live"` (validation replaces it with the final
+/// record).
+fn live_record(family: FamilyId, steps: &[MigratedStep]) -> MetadataRecord {
+    MetadataRecord {
+        family,
+        schema: "live".to_string(),
+        document: fold_steps(steps.iter().map(|s| Arc::clone(&s.metadata))),
+        extractors: extractors_of(steps),
+    }
+}
+
 /// What the wave loop keeps of a settled task: the decoded results of a
 /// `Done` — never the output itself — or why there are none.
 enum Resolution {
@@ -216,7 +234,7 @@ impl Resolution {
 /// hedge (if any) and its resolution. The first *productive* terminal
 /// status (`Done`/`Failed`) between primary and hedge wins; the loser is
 /// cancelled, so only the winner's output is ever decoded — metadata,
-/// checkpoint flushes, and invocation counts can never double-count a
+/// completed steps, and invocation counts can never double-count a
 /// `(family, extractor)` pair.
 struct WaveEntry {
     id: TaskId,
@@ -234,10 +252,10 @@ struct WaveEntry {
     breached: bool,
 }
 
-/// The recovery log a run borrows, plus the replay facts the run only
-/// reads. Built once per job by [`XtractService::open_recovery`], which
-/// hands the state that replay *rebuilt* back beside it as a [`Replayed`];
-/// `resumed` is false when the log held no prior progress.
+/// The recovery log a run borrows, plus what opening it found. Built once
+/// per job by [`XtractService::open_recovery`], which hands the state the
+/// log's records *describe* back beside it as a [`Replayed`]; `resumed` is
+/// false when the log held no prior progress.
 pub(crate) struct RecoveryCtx {
     pub(crate) log: RecoveryLog,
     /// [`spec_fingerprint`] of the owning spec, re-stated by snapshots.
@@ -245,44 +263,144 @@ pub(crate) struct RecoveryCtx {
     pub(crate) resumed: bool,
     pub(crate) replayed: u64,
     pub(crate) truncated: u64,
+}
+
+/// The state a log replays into, built by the one replay fold
+/// ([`Replayed::fold`]) that a resuming run and the shard coordinator's
+/// ownership resolution and orphan adoption all read. Each piece has
+/// exactly one reader per fold, so it travels by value: the wave loop takes
+/// a family's replayed steps over as that family's own step list instead of
+/// copying them. Empty for a job without a log or with a fresh one.
+#[derive(Default)]
+pub(crate) struct Replayed {
+    /// The families the log currently plans, in placement order —
+    /// replaying them skips the crawl and pins family identity across the
+    /// resume. A migration out-record vacates its family's place, an
+    /// in-record appends one.
+    pub(crate) planned: Vec<Family>,
+    /// Each family's completed steps, in journal order: its
+    /// `StepCompleted` records and the steps its migration in-records
+    /// carried, one per extractor kind (a carried step the log already
+    /// holds is not taken twice).
+    pub(crate) steps: HashMap<FamilyId, Vec<MigratedStep>>,
+    /// Total retry attempts charged per family across prior runs.
+    pub(crate) charges: HashMap<FamilyId, u32>,
+    /// Dead letters from prior runs (latest per family wins).
+    pub(crate) dead: HashMap<FamilyId, DeadLetter>,
+    /// Families this log handed away and never took back: the last
+    /// out-record's payload (family, steps, charges), so an aborted
+    /// hand-over can be audited and re-routed from the donor's side alone.
+    pub(crate) departed: HashMap<FamilyId, (Family, Vec<MigratedStep>, u32)>,
+    /// Crash points already recorded, in order — their count is the
+    /// cursor into the fault plan's ordered crash schedule.
+    pub(crate) crash_points: Vec<String>,
     /// Crawl totals from a replayed `CrawlCompleted` record.
     pub(crate) crawl: Option<(u64, u64, u64)>,
     /// Committed waves replayed from the log — the adaptive batching
     /// controller warm-starts from this count (its state is recomputed
     /// from replayed evidence, never persisted).
     pub(crate) waves: u64,
-    /// Root-WAL only: the last journaled lease epoch per shard
-    /// (`ShardEpoch` records). A restarted cross-process coordinator
-    /// replays these as the fencing floor each shard's next worker must
-    /// exceed before it is re-admitted.
-    pub(crate) shard_epochs: HashMap<u64, u64>,
     /// Root-WAL only: the coordinator's last brokered placement per
     /// family (`CustodyMoved` records) — the chain-walk hint for
     /// hand-overs that crashed between out-record and in-record.
     pub(crate) custody: HashMap<FamilyId, u64>,
 }
 
-/// The state a log replays into. Each piece has exactly one reader, the
-/// run the log is opened for, so it travels by value: the wave loop takes
-/// the replayed records over as its own bookkeeping instead of copying
-/// them, and no second handle to a step's metadata outlives the waves.
-/// Empty for a job without a log or with a fresh one.
-#[derive(Default)]
-pub(crate) struct Replayed {
-    /// The journaled family plan, in placement order — replaying it skips
-    /// the crawl and pins family identity across the resume.
-    pub(crate) planned: Vec<Family>,
-    /// Replayed `StepCompleted` records, in journal order (migration
-    /// in-records contribute their carried steps here, so fast-forward
-    /// and checkpoint rehydration see cross-shard progress too).
-    pub(crate) steps: Vec<RecoveryRecord>,
-    /// Total retry attempts charged per family across prior runs.
-    pub(crate) charges: HashMap<FamilyId, u32>,
-    /// Dead letters from prior runs (latest per family wins).
-    pub(crate) dead: HashMap<FamilyId, DeadLetter>,
-    /// Crash points already recorded, in order — their count is the
-    /// cursor into the fault plan's ordered crash schedule.
-    pub(crate) crash_points: Vec<String>,
+impl Replayed {
+    /// Folds a log's live records — everything after its last snapshot
+    /// boundary, by value — into the state they describe. Per family the
+    /// outcome depends only on that family's records in their journal
+    /// order, so a snapshot may restate families in any order.
+    pub(crate) fn fold(records: Vec<RecoveryRecord>) -> Self {
+        fn push_step(have: &mut Vec<MigratedStep>, step: MigratedStep) {
+            if !have.iter().any(|h| h.kind == step.kind) {
+                have.push(step);
+            }
+        }
+        let mut st = Self::default();
+        // The plan while it replays: a migration vacates its family's slot
+        // (found through `slot_of`, not by scanning the plan) and an
+        // adoption appends a new one; the survivors, in slot order, are
+        // the placement order.
+        let mut planned: Vec<Option<Family>> = Vec::new();
+        let mut slot_of: HashMap<FamilyId, usize> = HashMap::new();
+        for r in records {
+            match r {
+                RecoveryRecord::CrawlCompleted {
+                    crawled_files,
+                    groups,
+                    redundant_files,
+                } => {
+                    st.crawl = Some((crawled_files, groups, redundant_files));
+                    // A fresh crawl supersedes any earlier plan.
+                    planned.clear();
+                    slot_of.clear();
+                }
+                RecoveryRecord::FamilyPlanned { family } => {
+                    slot_of.insert(family.id, planned.len());
+                    planned.push(Some(family));
+                }
+                RecoveryRecord::StepCompleted {
+                    family,
+                    kind,
+                    metadata,
+                    discoveries,
+                } => push_step(
+                    st.steps.entry(family).or_default(),
+                    MigratedStep {
+                        kind,
+                        metadata,
+                        discoveries,
+                    },
+                ),
+                RecoveryRecord::RetryCharged { family, amount } => {
+                    *st.charges.entry(family).or_insert(0) += amount;
+                }
+                RecoveryRecord::DeadLettered { letter } => {
+                    st.dead.insert(letter.family, letter);
+                }
+                RecoveryRecord::CrashRecorded { point } => st.crash_points.push(point),
+                RecoveryRecord::WaveCommitted { .. } => st.waves += 1,
+                RecoveryRecord::FamilyMigrated {
+                    family,
+                    adopted,
+                    steps,
+                    charges,
+                    ..
+                } => {
+                    if adopted {
+                        // The family moved here: (re)plan it and carry
+                        // its cross-shard progress like local history.
+                        if let Some(old) = slot_of.insert(family.id, planned.len()) {
+                            planned[old] = None;
+                        }
+                        st.departed.remove(&family.id);
+                        let have = st.steps.entry(family.id).or_default();
+                        for s in steps {
+                            push_step(have, s);
+                        }
+                        // The carried count is the family's total at
+                        // hand-over; local `RetryCharged` deltas appended
+                        // after this record add on top.
+                        let cur = st.charges.entry(family.id).or_insert(0);
+                        *cur = (*cur).max(charges);
+                        planned.push(Some(family));
+                    } else {
+                        if let Some(old) = slot_of.remove(&family.id) {
+                            planned[old] = None;
+                        }
+                        st.departed.insert(family.id, (family, steps, charges));
+                    }
+                }
+                RecoveryRecord::CustodyMoved { family, to, .. } => {
+                    st.custody.insert(family, to);
+                }
+                _ => {}
+            }
+        }
+        st.planned = planned.into_iter().flatten().collect();
+        st
+    }
 }
 
 /// The run's armed scheduled-crash entry, if any: entry `k` of
@@ -881,8 +999,7 @@ impl XtractService {
     /// flushed, retry charged, hedge resolved, family dead-lettered) is
     /// journaled before the job advances past it, so a crash at any
     /// point leaves a log [`Self::resume_job`] can replay. A log with
-    /// prior progress is resumed rather than restarted. Running with a
-    /// log implies checkpointing even when `spec.checkpoint` is off.
+    /// prior progress is resumed rather than restarted.
     pub fn run_job_with_recovery(
         &self,
         token: Token,
@@ -908,7 +1025,7 @@ impl XtractService {
     /// `dir`: verifies the spec fingerprint (a log never replays into a
     /// different job — [`XtractError::SpecFingerprintMismatch`]),
     /// truncates any torn tail, finishes an interrupted compaction,
-    /// rehydrates the checkpoint store / retry ledger / dead letters,
+    /// rehydrates each family's step list / retry ledger / dead letters,
     /// skips the crawl and every journaled step, and runs whatever
     /// remains — converging to a report equivalent to an uninterrupted
     /// run's. A log with no prior records degrades to a fresh run.
@@ -1027,12 +1144,7 @@ impl XtractService {
             resumed: false,
             replayed: replay.records.len() as u64,
             truncated: replay.truncated_records,
-            crawl: None,
-            waves: 0,
-            shard_epochs: HashMap::new(),
-            custody: HashMap::new(),
         };
-        let mut state = Replayed::default();
         let found = replay.fingerprint();
         let boundary_segment = replay.boundary_segment;
         let effective = replay.into_effective();
@@ -1040,7 +1152,7 @@ impl XtractService {
             // A fresh log: stamp the job identity before anything else.
             ctx.log
                 .append(&RecoveryRecord::JobStarted { fingerprint })?;
-            return Ok((ctx, state));
+            return Ok((ctx, Replayed::default()));
         }
         if let Some(found) = found {
             if found != fingerprint {
@@ -1062,79 +1174,7 @@ impl XtractService {
             }
         }
         ctx.resumed = true;
-        // The plan while it replays: a migration vacates its family's slot
-        // (found through `slot_of`, not by scanning the plan) and an
-        // adoption appends a new one; the survivors, in slot order, are
-        // the placement order.
-        let mut planned: Vec<Option<Family>> = Vec::new();
-        let mut slot_of: HashMap<FamilyId, usize> = HashMap::new();
-        for r in effective {
-            match r {
-                RecoveryRecord::CrawlCompleted {
-                    crawled_files,
-                    groups,
-                    redundant_files,
-                } => {
-                    ctx.crawl = Some((crawled_files, groups, redundant_files));
-                    // A fresh crawl supersedes any earlier plan.
-                    planned.clear();
-                    slot_of.clear();
-                }
-                RecoveryRecord::FamilyPlanned { family } => {
-                    slot_of.insert(family.id, planned.len());
-                    planned.push(Some(family));
-                }
-                RecoveryRecord::StepCompleted { .. } => state.steps.push(r),
-                RecoveryRecord::RetryCharged { family, amount } => {
-                    *state.charges.entry(family).or_insert(0) += amount;
-                }
-                RecoveryRecord::DeadLettered { letter } => {
-                    // Latest per family wins, matching the store.
-                    state.dead.insert(letter.family, letter);
-                }
-                RecoveryRecord::CrashRecorded { point } => state.crash_points.push(point),
-                RecoveryRecord::WaveCommitted { .. } => ctx.waves += 1,
-                RecoveryRecord::FamilyMigrated {
-                    family,
-                    adopted,
-                    steps,
-                    charges,
-                    ..
-                } => {
-                    if adopted {
-                        // The family moved here: (re)plan it and carry
-                        // its cross-shard progress — steps re-stated as
-                        // StepCompleted so fast-forward and checkpoint
-                        // rehydration treat them like local history.
-                        if let Some(old) = slot_of.insert(family.id, planned.len()) {
-                            planned[old] = None;
-                        }
-                        state.steps.extend(steps.into_iter().map(|s| {
-                            RecoveryRecord::StepCompleted {
-                                family: family.id,
-                                kind: s.kind,
-                                metadata: s.metadata,
-                                discoveries: s.discoveries,
-                            }
-                        }));
-                        let cur = state.charges.entry(family.id).or_insert(0);
-                        *cur = (*cur).max(charges);
-                        planned.push(Some(family));
-                    } else if let Some(old) = slot_of.remove(&family.id) {
-                        planned[old] = None;
-                    }
-                }
-                RecoveryRecord::ShardEpoch { shard, epoch } => {
-                    let cur = ctx.shard_epochs.entry(shard).or_insert(0);
-                    *cur = (*cur).max(epoch);
-                }
-                RecoveryRecord::CustodyMoved { family, to, .. } => {
-                    ctx.custody.insert(family, to);
-                }
-                _ => {}
-            }
-        }
-        state.planned = planned.into_iter().flatten().collect();
+        let state = Replayed::fold(effective);
         self.obs.journal.record(Event::JobResumed {
             replayed: ctx.replayed,
             truncated: ctx.truncated,
@@ -1153,7 +1193,6 @@ impl XtractService {
     ) -> Result<JobReport> {
         let job_started = Instant::now();
         let mut report = JobReport::default();
-        let checkpoint = CheckpointStore::with_obs(&self.obs.hub);
         let retry = &spec.retry;
         // A tenant-owned job shares its tenant's health tracker, so
         // breaker and quarantine evidence accumulates across all of the
@@ -1171,38 +1210,24 @@ impl XtractService {
             None => RetryLedger::new(retry),
         });
         let journal = self.obs.journal.clone();
-        // A recovery log implies checkpointing: journaled steps must also
-        // be loadable so a resumed family skips them.
-        let use_checkpoint = spec.checkpoint || rec.is_some();
         // WAL bookkeeping (all idle when the job runs without a log):
-        // every StepCompleted journaled so far (snapshots restate them),
         // charges already journaled per family (wave commits journal the
         // delta), dead letters journaled per family (latest wins), and
         // the crash points already recorded — plus the armed kill, if the
         // fault plan schedules one for this run segment. What the log
         // replayed seeds them, by move: this run is its only reader.
+        // Finished steps have no table here: each family's own `steps` is
+        // the record snapshots restate and hand-offs carry.
         let Replayed {
             planned,
-            steps: mut wal_steps,
+            steps: mut replayed_steps,
             charges: mut wal_charges,
             dead: mut wal_dead,
             crash_points: wal_crashes,
+            crawl: replayed_crawl,
+            waves: replayed_waves,
+            ..
         } = replayed;
-        // Where each family's records sit in `wal_steps`, in journal order:
-        // resume fast-forward and the donation hand-off walk a family's own
-        // steps instead of scanning every step of the job per family.
-        let mut steps_of: HashMap<FamilyId, Vec<usize>> = HashMap::new();
-        // Migration records journaled *this run segment* (sharded runs
-        // only). Snapshots restate them after the planned families, so
-        // compaction preserves mid-run ownership changes: an adopted
-        // family survives pruning, a donated one stays gone. Replayed
-        // migrations need no restating — the replayed plan and step list
-        // already reflect them.
-        let mut wal_migrations: Vec<RecoveryRecord> = Vec::new();
-        // Steps carried in by live adoptions, kept apart from
-        // `wal_steps` (they were journaled inside the in-record, not as
-        // StepCompleted) so donation hand-offs still forward them.
-        let mut adopted_steps: HashMap<FamilyId, Vec<MigratedStep>> = HashMap::new();
         let mut crash = CrashSchedule::default();
         // Live serving-index ingest (opt-in): touched families flow into
         // the sharded index as each wave commits, and validation replaces
@@ -1214,59 +1239,26 @@ impl XtractService {
         let index_ingested = self.obs.hub.counter("index.ingested");
         let index_replayed = self.obs.hub.counter("index.replayed");
         let index_waves = self.obs.hub.counter("index.waves");
+        // A result folded into a family by this run — never a replayed or
+        // carried step, which the run that journaled it already counted.
+        let steps_completed = self.obs.hub.counter("steps.completed");
         if let Some(ctx) = rec {
             report.resumed = ctx.resumed;
             report.replayed_records = ctx.replayed;
             report.truncated_records = ctx.truncated;
-            // Rehydrate: flushed steps restore without charging the flush
-            // counter (they were counted by the run that journaled them),
-            // and the retry ledger pre-charges attempts prior runs already
-            // spent. Dead letters ride in `wal_dead` alone: nothing here
-            // asks the checkpoint about them.
-            for (i, r) in wal_steps.iter().enumerate() {
-                if let RecoveryRecord::StepCompleted {
-                    family,
-                    kind,
-                    metadata,
-                    ..
-                } = r
-                {
-                    checkpoint.restore(*family, kind.name(), metadata.clone());
-                    steps_of.entry(*family).or_default().push(i);
-                }
-            }
-            {
-                let mut l = ledger.lock();
-                for (f, n) in &wal_charges {
-                    l.precharge(*f, *n);
-                }
-            }
             crash = CrashSchedule::arm(spec.fault_plan.as_ref(), wal_crashes.len() as u64);
             // Re-converge the serving index: fold each family's journaled
             // steps, in journal order — the same order the live run folded
             // (and ingested) them — so a resumed job's index ends up
             // identical to an uninterrupted run's.
             if let Some(serving) = &serving {
-                let families = steps_of.len() as u64;
+                let families = replayed_steps.len() as u64;
                 if families > 0 {
-                    serving.ingest_all(steps_of.iter().map(|(family, at)| {
-                        let mut steps = Vec::with_capacity(at.len());
-                        let mut extractors = Vec::with_capacity(at.len());
-                        for &i in at {
-                            if let RecoveryRecord::StepCompleted { kind, metadata, .. } =
-                                &wal_steps[i]
-                            {
-                                steps.push(Arc::clone(metadata));
-                                extractors.push(kind.name().to_string());
-                            }
-                        }
-                        MetadataRecord {
-                            family: *family,
-                            schema: "live".to_string(),
-                            document: fold_steps(steps),
-                            extractors,
-                        }
-                    }));
+                    serving.ingest_all(
+                        replayed_steps
+                            .iter()
+                            .map(|(family, steps)| live_record(*family, steps)),
+                    );
                     index_replayed.add(families);
                     journal.record(Event::IndexReplayed { families });
                 }
@@ -1288,7 +1280,7 @@ impl XtractService {
         let adaptive_on = spec.adaptive.enabled;
         let mut tuner =
             AdaptiveTuner::new(spec.adaptive, spec.xtract_batch_size, spec.funcx_batch_size)
-                .with_replayed_waves(rec.map_or(0, |c| c.waves));
+                .with_replayed_waves(replayed_waves);
         let tune_grow = self.obs.hub.counter("adaptive.grow");
         let tune_backoff = self.obs.hub.counter("adaptive.backoff");
         // Limits last journaled per endpoint, so `BatchTuned` is recorded
@@ -1313,12 +1305,15 @@ impl XtractService {
         // A resumed job with a journaled plan skips the crawl entirely:
         // replaying `FamilyPlanned` records both saves the re-crawl and
         // pins family identity — ids match the original run even though
-        // the allocator has moved on.
-        let resumed_plan = rec.is_some_and(|c| c.resumed) && !planned.is_empty();
+        // the allocator has moved on. A shard runner never crawls: the
+        // root did, and its plan is whatever its WAL holds — nothing, when
+        // every family it was seeded with has since moved on (a crawl of
+        // its own would run the whole corpus again under fresh ids).
+        let resumed_plan =
+            shard.is_some() || (rec.is_some_and(|c| c.resumed) && !planned.is_empty());
         let mut families: Vec<Family> = planned;
         if resumed_plan {
-            let ctx = rec.expect("resumed_plan implies a recovery ctx");
-            let (crawled, groups, redundant) = ctx.crawl.unwrap_or((0, 0, 0));
+            let (crawled, groups, redundant) = replayed_crawl.unwrap_or((0, 0, 0));
             report.crawled_files = crawled;
             report.groups = groups;
             report.redundant_files = redundant;
@@ -1437,15 +1432,35 @@ impl XtractService {
             // Staging requests in flight on the pool; the wave loop may
             // not end while any remain.
             let mut inflight = 0usize;
+            // Migration records journaled *this run segment* (sharded runs
+            // only). Snapshots restate them after the families' steps, so
+            // compaction preserves mid-run ownership changes: an adopted
+            // family survives pruning, a donated one stays gone and its
+            // out-record keeps its steps. Replayed migrations need no
+            // restating — the replayed plan and step lists already reflect
+            // them. Dropped with the wave loop, so stage 7 finds each
+            // family's `steps` holding the last handles to its metadata.
+            let mut wal_migrations: Vec<RecoveryRecord> = Vec::new();
 
-            for family in families {
-                // A family a prior run segment already dead-lettered never
-                // activates again: its journaled letter ships straight to
-                // the report, and no extractor is re-invoked for it — the
-                // zero-duplicate-invocation invariant for poisoned files.
-                if let Some(letter) = wal_dead.get(&family.id) {
-                    report.failures.push(letter.clone());
-                    continue;
+            // Admits one family to the wave loop — a planned one at stage 4
+            // or a migrant at a wave boundary — with the steps it already
+            // completed, taken by value: places it, fast-forwards its plan
+            // through those steps (including extractors they *discovered*,
+            // which a crawl-seeded plan would never schedule), pre-charges
+            // the attempts it already spent, and submits its prefetch.
+            let mut admit = |active: &mut Vec<ActiveFamily>,
+                             inflight: &mut usize,
+                             wal_charges: &mut HashMap<FamilyId, u32>,
+                             wave: u64,
+                             family: Family,
+                             steps: Vec<MigratedStep>,
+                             charges: u32| {
+                if charges > 0 {
+                    // The family's journaled total so far; wave commits
+                    // journal only the delta above this mark.
+                    let cur = wal_charges.entry(family.id).or_insert(0);
+                    *cur = (*cur).max(charges);
+                    ledger.lock().precharge(family.id, charges);
                 }
                 let origin_files = family.files.clone();
                 let origin_source = family.source;
@@ -1471,12 +1486,14 @@ impl XtractService {
                 } else {
                     default_exec
                 };
-                let index = active.len();
+                let mut plan = ExtractionPlan::for_family(&family);
+                for s in &steps {
+                    plan.complete(s.kind, &s.discoveries);
+                }
                 let mut af = ActiveFamily {
-                    plan: ExtractionPlan::for_family(&family),
+                    plan,
                     family,
-                    steps: Vec::new(),
-                    ran: Vec::new(),
+                    steps,
                     exec,
                     attempts: HashMap::new(),
                     failed: None,
@@ -1489,34 +1506,11 @@ impl XtractService {
                     extended: HashSet::new(),
                     migrated: false,
                 };
-                // Fast-forward a resumed family through its journaled
-                // steps: step handles, ran-list, and plan cursor land
-                // exactly where the original run left them — including
-                // extractors those completed steps *discovered*, which a
-                // fresh crawl-seeded plan would never schedule. The
-                // ran-guard makes the replay idempotent: a migrated
-                // family's carried steps can be restated both by its
-                // in-record and by the snapshot's step records.
-                for &i in steps_of.get(&af.family.id).into_iter().flatten() {
-                    if let RecoveryRecord::StepCompleted {
-                        kind,
-                        metadata,
-                        discoveries,
-                        ..
-                    } = &wal_steps[i]
-                    {
-                        if !af.ran.iter().any(|n| n == kind.name()) {
-                            af.steps.push(Arc::clone(metadata));
-                            af.ran.push(kind.name().to_string());
-                            af.plan.complete(*kind, discoveries);
-                        }
-                    }
-                }
                 // --- Stage 5: prefetch if bytes are elsewhere — submitted
                 // to the pool, not awaited, so wave 1 of already-local
                 // families dispatches while remote ones are in flight. A
-                // resumed family whose replayed plan is already done has
-                // nothing left to run and skips the transfer. ---------------
+                // family of a logged job whose carried plan is already
+                // done has nothing left to run and skips the transfer. ------
                 if exec != af.family.source && !(rec.is_some() && af.plan.is_done()) {
                     let store = by_endpoint
                         .get(&exec)
@@ -1525,18 +1519,18 @@ impl XtractService {
                     match store {
                         Some(store) => {
                             af.staging = true;
-                            inflight += 1;
+                            *inflight += 1;
                             let _ = req_tx.send(StageRequest {
-                                index,
+                                index: active.len(),
                                 family: af.family.clone(),
                                 origin_files: af.origin_files.clone(),
                                 origin_source,
                                 exec,
                                 store,
-                                // Satellite fix: the salt base derives from
-                                // the family id, so injected transfer
-                                // faults roll independently per family
-                                // instead of in lockstep.
+                                // The salt base derives from the family
+                                // id, so injected transfer faults roll
+                                // independently per family instead of in
+                                // lockstep.
                                 salt_base: stage_salt_base(af.family.id, 0),
                                 generation: 0,
                             });
@@ -1551,7 +1545,7 @@ impl XtractService {
                             };
                             health.lock().record_failure(exec);
                             af.timeline.push(FailureEvent {
-                                wave: 0,
+                                wave,
                                 endpoint: exec,
                                 note: reason.to_string(),
                             });
@@ -1560,7 +1554,30 @@ impl XtractService {
                     }
                 }
                 active.push(af);
+            };
+
+            for family in families {
+                // A family a prior run segment already dead-lettered never
+                // activates again: its journaled letter ships straight to
+                // the report, and no extractor is re-invoked for it — the
+                // zero-duplicate-invocation invariant for poisoned files.
+                if let Some(letter) = wal_dead.get(&family.id) {
+                    report.failures.push(letter.clone());
+                    continue;
+                }
+                let steps = replayed_steps.remove(&family.id).unwrap_or_default();
+                let charges = wal_charges.get(&family.id).copied().unwrap_or(0);
+                admit(
+                    &mut active,
+                    &mut inflight,
+                    &mut wal_charges,
+                    0,
+                    family,
+                    steps,
+                    charges,
+                );
             }
+
             // Placement is pure now that staging rides the pool: Plan is
             // the decision pass alone; Stage lands after the loop as the
             // union of the pool's concurrent spans.
@@ -1614,91 +1631,15 @@ impl XtractService {
                         ctl.ack(&ids)?;
                         wal_migrations.extend(in_records);
                         for m in migrants {
-                            // Carried charges are the family's total at
-                            // hand-over; future wave commits journal only
-                            // the delta above this mark.
-                            let cur = wal_charges.entry(m.family.id).or_insert(0);
-                            *cur = (*cur).max(m.charges);
-                            ledger.lock().precharge(m.family.id, m.charges);
-                            let origin_files = m.family.files.clone();
-                            let origin_source = m.family.source;
-                            let local_ok = by_endpoint
-                                .get(&m.family.source)
-                                .is_some_and(|e| e.has_compute());
-                            let exec = if local_ok {
-                                m.family.source
-                            } else {
-                                primary.endpoint
-                            };
-                            let index = active.len();
-                            let mut af = ActiveFamily {
-                                plan: ExtractionPlan::for_family(&m.family),
-                                family: m.family,
-                                steps: Vec::new(),
-                                ran: Vec::new(),
-                                exec,
-                                attempts: HashMap::new(),
-                                failed: None,
-                                timeline: Vec::new(),
-                                origin_files,
-                                origin_source,
-                                staging: false,
-                                staged_sites: Vec::new(),
-                                stage_generation: 0,
-                                extended: HashSet::new(),
-                                migrated: false,
-                            };
-                            // Fast-forward through the carried steps, as a
-                            // resumed family would through journaled ones.
-                            for s in &m.steps {
-                                if !af.ran.iter().any(|n| n == s.kind.name()) {
-                                    af.steps.push(Arc::clone(&s.metadata));
-                                    af.ran.push(s.kind.name().to_string());
-                                    af.plan.complete(s.kind, &s.discoveries);
-                                }
-                            }
-                            let carried = adopted_steps.entry(af.family.id).or_default();
-                            for s in &m.steps {
-                                if !carried.iter().any(|h| h.kind == s.kind) {
-                                    carried.push(s.clone());
-                                }
-                            }
-                            if exec != af.family.source && !af.plan.is_done() {
-                                let store = by_endpoint
-                                    .get(&exec)
-                                    .copied()
-                                    .and_then(|d| d.store_path.clone());
-                                match store {
-                                    Some(store) => {
-                                        af.staging = true;
-                                        inflight += 1;
-                                        let _ = req_tx.send(StageRequest {
-                                            index,
-                                            family: af.family.clone(),
-                                            origin_files: af.origin_files.clone(),
-                                            origin_source,
-                                            exec,
-                                            store,
-                                            salt_base: stage_salt_base(af.family.id, 0),
-                                            generation: 0,
-                                        });
-                                    }
-                                    None => {
-                                        let reason = FailureReason::PrefetchFailed {
-                                            endpoint: exec,
-                                            error: XtractError::NoComputeLayer { endpoint: exec },
-                                        };
-                                        health.lock().record_failure(exec);
-                                        af.timeline.push(FailureEvent {
-                                            wave: u64::from(report.waves),
-                                            endpoint: exec,
-                                            note: reason.to_string(),
-                                        });
-                                        af.failed = Some(reason);
-                                    }
-                                }
-                            }
-                            active.push(af);
+                            admit(
+                                &mut active,
+                                &mut inflight,
+                                &mut wal_charges,
+                                u64::from(report.waves),
+                                m.family,
+                                m.steps,
+                                m.charges,
+                            );
                         }
                     }
                     // Donation: at the wave boundary any pending,
@@ -1722,34 +1663,16 @@ impl XtractService {
                             let mut outs = Vec::with_capacity(chosen.len());
                             let mut handoff = Vec::with_capacity(chosen.len());
                             for &i in &chosen {
-                                let af = &active[i];
+                                let af = &mut active[i];
                                 // The recipient re-stages from the origin
                                 // view, exactly like a breaker reroute.
                                 let mut family = af.family.clone();
                                 family.files = af.origin_files.clone();
                                 family.source = af.origin_source;
                                 family.base_path = None;
-                                let mut steps: Vec<MigratedStep> = adopted_steps
-                                    .get(&af.family.id)
-                                    .cloned()
-                                    .unwrap_or_default();
-                                for &j in steps_of.get(&af.family.id).into_iter().flatten() {
-                                    if let RecoveryRecord::StepCompleted {
-                                        kind,
-                                        metadata,
-                                        discoveries,
-                                        ..
-                                    } = &wal_steps[j]
-                                    {
-                                        if !steps.iter().any(|s| s.kind == *kind) {
-                                            steps.push(MigratedStep {
-                                                kind: *kind,
-                                                metadata: Arc::clone(metadata),
-                                                discoveries: discoveries.clone(),
-                                            });
-                                        }
-                                    }
-                                }
+                                // The steps leave with the family: it is
+                                // terminal here once its out-record lands.
+                                let steps = std::mem::take(&mut af.steps);
                                 let charges = ledger
                                     .lock()
                                     .attempts(af.family.id)
@@ -1894,17 +1817,11 @@ impl XtractService {
                     if health.lock().state(af.exec) == BreakerState::Open {
                         continue;
                     }
+                    // The plan cursor only ever advances together with
+                    // the step that completes it, so what is next here has
+                    // never flushed: a loss resubmits exactly the unfinished
+                    // step (§5.8.1: "the metadata are re-loaded").
                     let Some(kind) = af.plan.next() else { continue };
-                    // Checkpointed output short-circuits re-execution after
-                    // a loss (§5.8.1: "the metadata are re-loaded").
-                    if use_checkpoint {
-                        if let Some(md) = checkpoint.load(af.family.id, kind.name()) {
-                            af.steps.push(md);
-                            af.ran.push(kind.name().to_string());
-                            af.plan.complete_simple(kind);
-                            continue;
-                        }
-                    }
                     index.insert(af.family.id, i);
                     let b = if adaptive_on {
                         ep_batchers.entry(af.exec).or_insert_with(|| {
@@ -2324,30 +2241,24 @@ impl XtractService {
                                         continue;
                                     }
                                     // One allocation owns the result's
-                                    // metadata; checkpoint, WAL batch,
-                                    // and flush list all share it.
+                                    // metadata; the family's step and the
+                                    // wave's commit batch share it.
                                     let metadata = Arc::new(r.metadata);
-                                    if use_checkpoint {
-                                        checkpoint.flush(
-                                            r.family,
-                                            kind.name(),
-                                            Arc::clone(&metadata),
-                                        );
-                                    }
                                     if rec.is_some() {
-                                        let step = RecoveryRecord::StepCompleted {
+                                        wave_flushes.push(RecoveryRecord::StepCompleted {
                                             family: r.family,
                                             kind,
                                             metadata: Arc::clone(&metadata),
                                             discoveries: r.discoveries.clone(),
-                                        };
-                                        steps_of.entry(r.family).or_default().push(wal_steps.len());
-                                        wal_steps.push(step.clone());
-                                        wave_flushes.push(step);
+                                        });
                                     }
-                                    af.steps.push(metadata);
-                                    af.ran.push(kind.name().to_string());
                                     af.plan.complete(kind, &r.discoveries);
+                                    af.steps.push(MigratedStep {
+                                        kind,
+                                        metadata,
+                                        discoveries: r.discoveries,
+                                    });
+                                    steps_completed.incr();
                                     wave_touched.insert(r.family);
                                 }
                                 // Credit whichever endpoint actually
@@ -2618,7 +2529,19 @@ impl XtractService {
                                 .iter()
                                 .map(|f| RecoveryRecord::FamilyPlanned { family: f.clone() }),
                         );
-                        snapshot.extend(wal_steps.iter().cloned());
+                        // Each family's finished steps, from its own
+                        // list. A donated family's are restated by its
+                        // out-record below, which carries them.
+                        for af in active.iter().filter(|af| !af.migrated) {
+                            snapshot.extend(af.steps.iter().map(|s| {
+                                RecoveryRecord::StepCompleted {
+                                    family: af.family.id,
+                                    kind: s.kind,
+                                    metadata: Arc::clone(&s.metadata),
+                                    discoveries: s.discoveries.clone(),
+                                }
+                            }));
+                        }
                         let mut charges: Vec<(FamilyId, u32)> = wal_charges
                             .iter()
                             .filter(|(_, n)| **n > 0)
@@ -2668,13 +2591,8 @@ impl XtractService {
                     if !wave_touched.is_empty() {
                         let recs: Vec<MetadataRecord> = active
                             .iter()
-                            .filter(|af| wave_touched.contains(&af.family.id))
-                            .map(|af| MetadataRecord {
-                                family: af.family.id,
-                                schema: "live".to_string(),
-                                document: fold_steps(af.steps.iter().cloned()),
-                                extractors: af.ran.clone(),
-                            })
+                            .filter(|af| !af.migrated && wave_touched.contains(&af.family.id))
+                            .map(|af| live_record(af.family.id, &af.steps))
                             .collect();
                         let n = recs.len() as u64;
                         serving.ingest_all(recs);
@@ -2706,14 +2624,6 @@ impl XtractService {
                 .map(|&(s, e)| (Phase::Stage, s, e)),
         );
         let ledger = ledger.into_inner();
-        // The waves are over, and with them every reader of the WAL
-        // restatement lists and of the checkpoint's step table (the steps
-        // themselves are durable in the log). Releasing them here leaves
-        // each family's `steps` holding the last handles to its metadata,
-        // so stage 7 folds a document out of the decoded allocations
-        // themselves instead of out of copies.
-        drop((wal_steps, wal_migrations, adopted_steps, checkpoint));
-
         // --- Stage 6.5: clean staged copies once plans are done — every
         // site the family ever staged at, not just the final one, so a
         // reroute leaves nothing behind on the endpoint that went dark. ------
@@ -2753,10 +2663,11 @@ impl XtractService {
                 continue;
             }
             // The document is folded here, once, and moved into the record.
+            let extractors = extractors_of(&steps);
             let outcome = validate_owned(
                 &af.family,
-                fold_steps(steps),
-                std::mem::take(&mut af.ran),
+                fold_steps(steps.into_iter().map(|s| s.metadata)),
+                extractors,
                 &spec.validation,
             );
             match outcome {
@@ -2968,15 +2879,6 @@ mod tests {
             svc.run_job(token, &spec),
             Err(XtractError::InvalidJob { .. })
         ));
-    }
-
-    #[test]
-    fn checkpointing_job_completes_identically() {
-        let (svc, token, mut spec, _fabric) = rig(24);
-        spec.checkpoint = true;
-        let report = svc.run_job(token, &spec).unwrap();
-        assert!(report.failures.is_empty());
-        assert_eq!(report.records.len() as u64, report.families);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use xtract_obs::{Event, Phase, SpanUnion};
 use xtract_types::{DeadLetter, Family, FamilyId, JobSpec, PartitionerKind, Result, XtractError};
 
 use crate::recovery::{spec_fingerprint, LogDirLease, MigratedStep, RecoveryLog, RecoveryRecord};
-use crate::service::{JobReport, XtractService};
+use crate::service::{JobReport, Replayed, XtractService};
 use crate::tenancy::TenantCtx;
 
 // ---------------------------------------------------------------------------
@@ -357,15 +357,17 @@ impl ShardCoordinator {
         self.cv.notify_all();
     }
 
-    /// The live (running or idle) shard with the smallest pending load,
-    /// excluding `not` — the adoption and steal target.
-    pub fn least_loaded_live(&self, not: Option<usize>) -> Option<usize> {
+    /// The live (running or idle) shard with the smallest pending load
+    /// other than `not`, the shard whose families are being re-homed: its
+    /// slot may still read live (a dying shard stays `Running` until its
+    /// orphans are placed) and must never adopt its own orphans.
+    pub fn least_loaded_live(&self, not: usize) -> Option<usize> {
         let inner = self.inner.lock();
         inner
             .slots
             .iter()
             .enumerate()
-            .filter(|(k, s)| s.is_live() && Some(*k) != not)
+            .filter(|(k, s)| s.is_live() && *k != not)
             .min_by_key(|(k, s)| (s.pending, *k))
             .map(|(k, _)| k)
     }
@@ -673,84 +675,6 @@ impl ShardLink for ShardCtl {
 }
 
 // ---------------------------------------------------------------------------
-// WAL folding (ownership resolution, orphan adoption)
-// ---------------------------------------------------------------------------
-
-/// A shard WAL's replayed family state: who it currently owns, what
-/// those families completed, and what it abandoned.
-struct WalState {
-    planned: Vec<Family>,
-    steps: HashMap<FamilyId, Vec<MigratedStep>>,
-    charges: HashMap<FamilyId, u32>,
-    dead: HashMap<FamilyId, DeadLetter>,
-    /// Families this WAL handed away and never took back: the last
-    /// out-record's payload, so an aborted hand-over can be audited
-    /// and re-routed from the donor's side alone.
-    departed: HashMap<FamilyId, (Family, Vec<MigratedStep>, u32)>,
-}
-
-fn fold_wal(records: &[RecoveryRecord]) -> WalState {
-    let mut st = WalState {
-        planned: Vec::new(),
-        steps: HashMap::new(),
-        charges: HashMap::new(),
-        dead: HashMap::new(),
-        departed: HashMap::new(),
-    };
-    for r in records {
-        match r {
-            RecoveryRecord::FamilyPlanned { family } => st.planned.push(family.clone()),
-            RecoveryRecord::StepCompleted {
-                family,
-                kind,
-                metadata,
-                discoveries,
-            } => st.steps.entry(*family).or_default().push(MigratedStep {
-                kind: *kind,
-                metadata: Arc::clone(metadata),
-                discoveries: discoveries.clone(),
-            }),
-            RecoveryRecord::RetryCharged { family, amount } => {
-                *st.charges.entry(*family).or_insert(0) += amount;
-            }
-            RecoveryRecord::DeadLettered { letter } => {
-                st.dead.insert(letter.family, letter.clone());
-            }
-            RecoveryRecord::FamilyMigrated {
-                family,
-                adopted,
-                steps,
-                charges,
-                ..
-            } => {
-                if *adopted {
-                    st.planned.retain(|f| f.id != family.id);
-                    st.planned.push(family.clone());
-                    st.departed.remove(&family.id);
-                    let slot = st.steps.entry(family.id).or_default();
-                    for s in steps {
-                        if !slot.iter().any(|have| have.kind == s.kind) {
-                            slot.push(s.clone());
-                        }
-                    }
-                    // The carried count is the family's total at
-                    // hand-over; local RetryCharged deltas appended
-                    // after this record add on top.
-                    let cur = st.charges.entry(family.id).or_insert(0);
-                    *cur = (*cur).max(*charges);
-                } else {
-                    st.planned.retain(|f| f.id != family.id);
-                    st.departed
-                        .insert(family.id, (family.clone(), steps.clone(), *charges));
-                }
-            }
-            _ => {}
-        }
-    }
-    st
-}
-
-// ---------------------------------------------------------------------------
 // The sharded run
 // ---------------------------------------------------------------------------
 
@@ -762,6 +686,9 @@ pub(crate) struct RootPlan {
     pub root: crate::service::RecoveryCtx,
     pub report: JobReport,
     pub plan: Vec<Family>,
+    /// The coordinator's last brokered placement per family, replayed
+    /// from the root WAL's `CustodyMoved` records.
+    pub custody: HashMap<FamilyId, u64>,
 }
 
 /// Opens (or replays) the root WAL and produces the family plan: a
@@ -776,12 +703,13 @@ pub(crate) fn prepare_root(
     started: Instant,
 ) -> Result<RootPlan> {
     let mut report = JobReport::default();
-    // Of the root WAL's replayed state only the plan has a reader: the
-    // root journals no steps, charges or dead letters of its own.
+    // Of the root WAL's replayed state only the plan, the crawl totals
+    // and the custody hints have a reader: the root journals no steps,
+    // charges or dead letters of its own.
     let (root, replayed) = service.open_recovery(spec, dir, Some("root"))?;
     let t_crawl0 = started.elapsed().as_secs_f64();
     let plan: Vec<Family> = if root.resumed && !replayed.planned.is_empty() {
-        let (crawled, groups, redundant) = root.crawl.unwrap_or((0, 0, 0));
+        let (crawled, groups, redundant) = replayed.crawl.unwrap_or((0, 0, 0));
         report.crawled_files = crawled;
         report.groups = groups;
         report.redundant_files = redundant;
@@ -809,7 +737,12 @@ pub(crate) fn prepare_root(
     report.resumed = root.resumed;
     report.replayed_records = root.replayed;
     report.truncated_records = root.truncated;
-    Ok(RootPlan { root, report, plan })
+    Ok(RootPlan {
+        root,
+        report,
+        plan,
+        custody: replayed.custody,
+    })
 }
 
 /// A shard's copy of the job spec: the shared fault plan sliced to the
@@ -856,6 +789,7 @@ pub(crate) fn run_sharded(
         root,
         mut report,
         plan,
+        ..
     } = prepare_root(service, spec, dir, started)?;
     let ShardLayout {
         shard_dirs,
@@ -1027,42 +961,40 @@ pub(crate) fn resolve_and_seed(
     let shard_dirs: Vec<PathBuf> = (0..shards)
         .map(|k| dir.join(format!("shard-{k}")))
         .collect();
-    let mut replays: Vec<Option<Vec<RecoveryRecord>>> = Vec::with_capacity(shards);
-    for sd in &shard_dirs {
-        if sd.is_dir() {
-            let (_log, replay) = RecoveryLog::open(sd, spec.recovery)?;
-            replays.push(Some(replay.effective().to_vec()));
-        } else {
-            replays.push(None);
+    // Per shard WAL: whether one exists yet, the families its replay
+    // currently plans, and its out-records per family in journal order.
+    let mut fresh = vec![true; shards];
+    let mut present: Vec<HashSet<FamilyId>> = vec![HashSet::new(); shards];
+    let mut outs: Vec<HashMap<FamilyId, VecDeque<RecoveryRecord>>> = vec![HashMap::new(); shards];
+    for (k, sd) in shard_dirs.iter().enumerate() {
+        if !sd.is_dir() {
+            continue;
         }
-    }
-    let states: Vec<WalState> = replays
-        .iter()
-        .map(|r| fold_wal(r.as_deref().unwrap_or_default()))
-        .collect();
-    let mut present_at: HashMap<FamilyId, usize> = HashMap::new();
-    for (k, st) in states.iter().enumerate() {
-        for f in &st.planned {
-            present_at.entry(f.id).or_insert(k);
-        }
-    }
-    let mut outs: Vec<HashMap<FamilyId, VecDeque<RecoveryRecord>>> = replays
-        .iter()
-        .map(|r| {
-            let mut m: HashMap<FamilyId, VecDeque<RecoveryRecord>> = HashMap::new();
-            for rec in r.as_deref().unwrap_or_default() {
-                if let RecoveryRecord::FamilyMigrated {
-                    family,
-                    adopted: false,
-                    ..
-                } = rec
-                {
-                    m.entry(family.id).or_default().push_back(rec.clone());
-                }
+        fresh[k] = false;
+        let (_log, replay) = RecoveryLog::open(sd, spec.recovery)?;
+        let records = replay.into_effective();
+        for rec in &records {
+            if let RecoveryRecord::FamilyMigrated {
+                family,
+                adopted: false,
+                ..
+            } = rec
+            {
+                outs[k].entry(family.id).or_default().push_back(rec.clone());
             }
-            m
-        })
-        .collect();
+        }
+        present[k] = Replayed::fold(records)
+            .planned
+            .iter()
+            .map(|f| f.id)
+            .collect();
+    }
+    let mut present_at: HashMap<FamilyId, usize> = HashMap::new();
+    for (k, ids) in present.iter().enumerate() {
+        for id in ids {
+            present_at.entry(*id).or_insert(k);
+        }
+    }
     let mut last_hop: HashMap<FamilyId, RecoveryRecord> = HashMap::new();
     for (i, id) in ids.iter().enumerate() {
         if let Some(&k) = present_at.get(id) {
@@ -1100,14 +1032,13 @@ pub(crate) fn resolve_and_seed(
         })
         .collect();
     for (k, sd) in shard_dirs.iter().enumerate() {
-        let present: HashSet<FamilyId> = states[k].planned.iter().map(|f| f.id).collect();
         let mut batch = Vec::new();
-        if replays[k].is_none() {
+        if fresh[k] {
             batch.push(RecoveryRecord::JobStarted { fingerprint });
         }
         let mut repaired = 0u64;
         for f in &subsets[k] {
-            if present.contains(&f.id) {
+            if present[k].contains(&f.id) {
                 continue;
             }
             match last_hop.get(&f.id) {
@@ -1208,25 +1139,28 @@ pub(crate) fn adopt_orphans(
     if let Some(lease) = fence {
         log.set_fence(lease);
     }
-    let st = fold_wal(replay.effective());
-    let planned_ids: HashSet<FamilyId> = st.planned.iter().map(|f| f.id).collect();
+    let Replayed {
+        planned,
+        mut steps,
+        charges,
+        dead,
+        departed,
+        ..
+    } = Replayed::fold(replay.into_effective());
+    let planned_ids: HashSet<FamilyId> = planned.iter().map(|f| f.id).collect();
     let mut stranded = false;
     let mut out_records = Vec::new();
     let mut migrants: Vec<(usize, Migrant)> = Vec::new();
     let mut adopted_per_shard: HashMap<usize, u64> = HashMap::new();
-    for f in &st.planned {
-        if let Some(letter) = st.dead.get(&f.id) {
-            orphan_letters.push(letter.clone());
-            continue;
-        }
-        let Some(to) = coordinator.least_loaded_live(None) else {
+    // One hop out of the dead shard: the out-record extends the chain
+    // through its WAL, so a later resume resolves ownership the same way.
+    let mut route = |family: Family, steps: Vec<MigratedStep>, charges: u32| {
+        let Some(to) = coordinator.least_loaded_live(from) else {
             stranded = true;
-            continue;
+            return;
         };
-        let steps = st.steps.get(&f.id).cloned().unwrap_or_default();
-        let charges = st.charges.get(&f.id).copied().unwrap_or(0);
         out_records.push(RecoveryRecord::FamilyMigrated {
-            family: f.clone(),
+            family: family.clone(),
             from: from as u64,
             to: to as u64,
             adopted: false,
@@ -1236,73 +1170,39 @@ pub(crate) fn adopt_orphans(
         migrants.push((
             to,
             Migrant {
-                family: f.clone(),
+                family,
                 steps,
                 charges,
                 from: from as u64,
             },
         ));
         *adopted_per_shard.entry(to).or_insert(0) += 1;
+    };
+    for f in planned {
+        if let Some(letter) = dead.get(&f.id) {
+            orphan_letters.push(letter.clone());
+            continue;
+        }
+        let carried = steps.remove(&f.id).unwrap_or_default();
+        let spent = charges.get(&f.id).copied().unwrap_or(0);
+        route(f, carried, spent);
     }
-    // Migrants delivered to the dead shard that it never journaled in:
-    // re-route them, extending the chain through the dead shard's WAL
-    // so a later resume resolves ownership the same way.
+    // Migrants delivered to the dead shard that it never journaled in.
     for m in coordinator.take_custody(from) {
         if planned_ids.contains(&m.family.id) {
             continue; // the in-record made it; handled above
         }
-        let Some(to) = coordinator.least_loaded_live(None) else {
-            stranded = true;
-            continue;
-        };
-        out_records.push(RecoveryRecord::FamilyMigrated {
-            family: m.family.clone(),
-            from: from as u64,
-            to: to as u64,
-            adopted: false,
-            steps: m.steps.clone(),
-            charges: m.charges,
-        });
-        migrants.push((
-            to,
-            Migrant {
-                from: from as u64,
-                ..m
-            },
-        ));
-        *adopted_per_shard.entry(to).or_insert(0) += 1;
+        route(m.family, m.steps, m.charges);
     }
     // A hand-over whose out-record is durable but whose migrant never
     // reached the coordinator (the donor died between journaling and
     // delivering — a mid-batch I/O error surfacing as the death) would
     // silently lose the family for this run. Re-route any departure of
     // a family this shard owned at fan-out that no slot has a trace of.
-    for (id, (family, steps, charges)) in &st.departed {
-        if !start_owned.contains(id) || coordinator.knows_any(*id) {
-            continue;
+    for (id, (family, carried, spent)) in departed {
+        if start_owned.contains(&id) && !coordinator.knows_any(id) {
+            route(family, carried, spent);
         }
-        let Some(to) = coordinator.least_loaded_live(None) else {
-            stranded = true;
-            continue;
-        };
-        out_records.push(RecoveryRecord::FamilyMigrated {
-            family: family.clone(),
-            from: from as u64,
-            to: to as u64,
-            adopted: false,
-            steps: steps.clone(),
-            charges: *charges,
-        });
-        migrants.push((
-            to,
-            Migrant {
-                family: family.clone(),
-                steps: steps.clone(),
-                charges: *charges,
-                from: from as u64,
-            },
-        ));
-        *adopted_per_shard.entry(to).or_insert(0) += 1;
     }
     if !out_records.is_empty() {
         log.append_batch(&out_records)?;
@@ -1352,7 +1252,7 @@ pub(crate) fn redistribute(
     }
     let mut stranded = false;
     for m in items {
-        let Some(to) = coordinator.least_loaded_live(None) else {
+        let Some(to) = coordinator.least_loaded_live(from) else {
             stranded = true;
             continue;
         };
@@ -1627,23 +1527,88 @@ mod tests {
         assert!(expired.is_empty(), "live shard reported dead: {expired:?}");
     }
 
+    /// Shard 3 is the one whose families are being re-homed.
     #[test]
     fn dead_and_done_shards_are_not_adoption_targets() {
-        let c = test_coordinator(3, xtract_types::ShardPolicy::sharded(3));
+        let c = test_coordinator(4, xtract_types::ShardPolicy::sharded(4));
         c.heartbeat(0, 1, 5);
         c.heartbeat(1, 1, 2);
         c.heartbeat(2, 1, 0);
-        assert_eq!(c.least_loaded_live(None), Some(2));
+        assert_eq!(c.least_loaded_live(3), Some(2));
         c.mark_done(2);
-        assert_eq!(c.least_loaded_live(None), Some(1));
+        assert_eq!(c.least_loaded_live(3), Some(1));
         c.mark_dead(1);
-        assert_eq!(c.least_loaded_live(None), Some(0));
-        assert_eq!(c.least_loaded_live(Some(0)), None);
-        assert_eq!(c.deaths(), 1);
+        assert_eq!(c.least_loaded_live(3), Some(0));
+        assert_eq!(c.least_loaded_live(0), Some(3));
+        c.mark_dead(3);
+        assert_eq!(c.least_loaded_live(0), None);
+        assert_eq!(c.deaths(), 2);
+    }
+
+    /// Regression: a dying shard's slot stays `Running` until its orphans
+    /// are placed, so it used to be its own least-loaded live target — the
+    /// last shard to die adopted its own orphans into an inbox nobody
+    /// drains, and the run returned `Ok` without them.
+    #[test]
+    fn the_last_live_shard_strands_its_orphans_instead_of_adopting_them() {
+        let dir = std::env::temp_dir().join(format!(
+            "xtract-shard-strand-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fabric = Arc::new(xtract_datafabric::DataFabric::new());
+        let auth = Arc::new(xtract_datafabric::AuthService::new());
+        let service = XtractService::new(fabric, auth, 1);
+        let spec = JobSpec::single_endpoint(
+            xtract_types::EndpointSpec {
+                endpoint: xtract_types::EndpointId::new(0),
+                read_path: "/data".into(),
+                store_path: None,
+                available_bytes: 1 << 30,
+                workers: Some(1),
+                runtime: xtract_types::config::ContainerRuntime::Docker,
+            },
+            "/data",
+        );
+        let orphan = migrant(1, 0).family;
+        {
+            let (log, _) = RecoveryLog::open(&dir, spec.recovery).unwrap();
+            log.append(&RecoveryRecord::FamilyPlanned {
+                family: orphan.clone(),
+            })
+            .unwrap();
+        }
+        // Two shards; shard 1 already died, shard 0 — still `Running` —
+        // is dying now and holds one undelivered migrant besides its plan.
+        let c = test_coordinator(2, xtract_types::ShardPolicy::sharded(2));
+        c.mark_dead(1);
+        c.deliver(0, migrant(2, 1));
+        let stranded = adopt_orphans(
+            &c,
+            &service,
+            &spec,
+            &dir,
+            0,
+            &HashSet::from([orphan.id]),
+            &mut Vec::new(),
+            None,
+            None,
+        )
+        .unwrap();
+        assert!(stranded, "no survivor is live: the orphans are stranded");
+        assert!(
+            c.take_custody(0).is_empty(),
+            "nothing may be delivered to the dying shard"
+        );
+        // Its WAL gained no hop to itself either.
+        let (_, replay) = RecoveryLog::open(&dir, spec.recovery).unwrap();
+        assert_eq!(replay.records.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn fold_wal_applies_migrations_and_carried_state() {
+    fn replay_fold_applies_migrations_and_carried_state() {
         let fam_a = migrant(1, 0).family;
         let fam_b = migrant(2, 0).family;
         let step = MigratedStep {
@@ -1682,12 +1647,22 @@ mod tests {
                 family: fam_b.id,
                 amount: 1,
             },
+            // A snapshot restating B's carried step beside its in-record
+            // must not hand the step over twice.
+            RecoveryRecord::StepCompleted {
+                family: fam_b.id,
+                kind: step.kind,
+                metadata: Arc::clone(&step.metadata),
+                discoveries: Vec::new(),
+            },
         ];
-        let st = fold_wal(&records);
+        let st = Replayed::fold(records);
         assert_eq!(st.planned.len(), 1);
         assert_eq!(st.planned[0].id, fam_b.id);
-        assert_eq!(st.steps[&fam_b.id].len(), 1);
+        assert_eq!(st.steps[&fam_b.id], vec![step]); // carried and restated: once
         assert_eq!(st.charges[&fam_b.id], 4); // carried 3 + local 1
         assert_eq!(st.charges[&fam_a.id], 2); // history kept, harmless
+        assert_eq!(st.departed[&fam_a.id].2, 2); // the out-record's payload
+        assert!(!st.departed.contains_key(&fam_b.id));
     }
 }

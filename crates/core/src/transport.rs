@@ -804,6 +804,7 @@ pub fn run_proc_sharded(
         root,
         mut report,
         plan,
+        custody,
     } = prepare_root(service, spec, dir, started)?;
     root.log.set_fence(&root_lease);
 
@@ -811,10 +812,9 @@ pub fn run_proc_sharded(
     // epoch past any prior incarnation — a zombie worker orphaned by a
     // killed coordinator may still be extracting into it — journal the
     // new floor to the root WAL, then release (epoch preserved) so the
-    // fresh worker can claim the next epoch. The journaled floor also
-    // covers admissions the previous incarnation recorded
-    // ([`RecoveryCtx::shard_epochs`] replays them into `prepare_root`'s
-    // context, and `preempt` bumps past whatever is on disk).
+    // fresh worker can claim the next epoch. Admissions the previous
+    // incarnation recorded are covered too: `preempt` bumps past
+    // whatever is on disk.
     let mut floors: Vec<u64> = Vec::with_capacity(shards);
     let mut fence_batch: Vec<RecoveryRecord> = Vec::with_capacity(shards);
     for k in 0..shards {
@@ -841,7 +841,7 @@ pub fn run_proc_sharded(
     let ShardLayout {
         shard_dirs,
         subsets,
-    } = resolve_and_seed(service, spec, dir, &plan, Some(&root.custody))?;
+    } = resolve_and_seed(service, spec, dir, &plan, Some(&custody))?;
 
     world.store(&dir.join(PROC_JOB_FILE))?;
     let sock_path = dir.join(COORD_SOCK);

@@ -724,9 +724,6 @@ pub struct JobSpec {
     pub results_endpoint: Option<EndpointId>,
     /// Delete staged copies after extraction (Listing 1's `delete_files`).
     pub delete_after_extraction: bool,
-    /// Enable the checkpoint flag (§5.8.1) so completed groups survive an
-    /// allocation expiry.
-    pub checkpoint: bool,
     /// Number of crawler worker threads (swept in Fig. 4).
     pub crawl_workers: usize,
     /// Staging worker threads: how many families the prefetcher moves
@@ -784,7 +781,6 @@ impl JobSpec {
             validation: ValidationSchema::Passthrough,
             results_endpoint: None,
             delete_after_extraction: false,
-            checkpoint: false,
             crawl_workers: 4,
             staging_workers: default_staging_workers(),
             retry: RetryPolicy::default(),

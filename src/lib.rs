@@ -18,8 +18,8 @@
 //!   generators.
 //! * [`crawler`] — the elastic parallel crawler.
 //! * [`core`] — the orchestrator: planner, min-transfers families,
-//!   batching, prefetching, offloading, validation, checkpointing, the live
-//!   service and the campaign simulator.
+//!   batching, prefetching, offloading, validation, the recovery log, the
+//!   live service and the campaign simulator.
 //! * [`index`] — the downstream search index validated records feed.
 //! * [`tika`] — the Apache-Tika-like baseline used in Table 2.
 //! * [`obs`] — campaign observability: the metrics hub, the event

@@ -192,7 +192,7 @@ fn kill_resume_chaos_differential_matches_uninterrupted_baseline() {
     let base_dir = tempdir("baseline");
     let (svc, token, spec) = rig(seed);
     let baseline = svc.run_job_with_recovery(token, &spec, &base_dir).unwrap();
-    let baseline_flushes = svc.obs().hub.counter_value("checkpoint.flushes", None);
+    let baseline_flushes = svc.obs().hub.counter_value("steps.completed", None);
     assert!(
         baseline.waves >= 3,
         "need >= 3 waves for the kill schedule, got {}",
@@ -253,7 +253,7 @@ fn kill_resume_chaos_differential_matches_uninterrupted_baseline() {
             "truncated counter disagrees with an independent scan"
         );
         saw_truncation |= expect.truncated_records > 0;
-        chaos_flushes += svc.obs().hub.counter_value("checkpoint.flushes", None);
+        chaos_flushes += svc.obs().hub.counter_value("steps.completed", None);
         match outcome {
             Ok(report) => {
                 final_report = Some(report);
@@ -281,9 +281,9 @@ fn kill_resume_chaos_differential_matches_uninterrupted_baseline() {
         letter_keys(&baseline.failures),
         letter_keys(&final_report.failures)
     );
-    // Every checkpoint flush across all crash segments happened exactly
-    // once: rehydration restores without re-flushing, so the cumulative
-    // count equals the uninterrupted run's.
+    // Every step across all crash segments completed exactly once: a
+    // resumed family takes its journaled steps over without counting
+    // them again, so the cumulative count equals the uninterrupted run's.
     assert_eq!(chaos_flushes, baseline_flushes);
 
     // --- Zero duplicate invocations, proven from the log itself: each

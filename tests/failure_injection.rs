@@ -412,8 +412,7 @@ fn allocation_expiry_mid_job_is_absorbed_by_resubmission() {
     let auth = Arc::new(AuthService::new());
     let token = full_token(&auth);
     let svc = Arc::new(XtractService::new(fabric, auth, 51));
-    let mut spec = JobSpec::single_endpoint(compute_spec(ep, 2), "/data");
-    spec.checkpoint = true;
+    let spec = JobSpec::single_endpoint(compute_spec(ep, 2), "/data");
     svc.connect_endpoint(&spec.endpoints[0]).unwrap();
 
     // A disruptor thread expires the allocation a few times while the job

@@ -10,7 +10,11 @@
 //!   `StepCompleted` metadata its owner's WAL holds: on a fresh run, on a
 //!   run resumed from a mid-wave kill, and for a family that changed
 //!   shards part-way through its plan (adopted from a dead shard, donated
-//!   to an idle one).
+//!   to an idle one) — also when donor and recipient compacted their WALs
+//!   after the hand-off and the run was then killed and resumed. A donor's
+//!   snapshot restates no step of a family it gave away, and a log laid
+//!   out the way older builds wrote snapshots resumes to the same
+//!   documents.
 //! * The order in which tasks happen to settle never reaches the WAL.
 
 use bytes::Bytes;
@@ -19,7 +23,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xtract::prelude::*;
-use xtract_core::{JobReport, RecoveryLog, RecoveryRecord, XtractService};
+use xtract_core::recovery::MigratedStep;
+use xtract_core::{spec_fingerprint, JobReport, RecoveryLog, RecoveryRecord, XtractService};
 use xtract_datafabric::{AuthService, DataFabric, MemFs, Scope, StorageBackend, Token};
 use xtract_faas::EndpointConfig;
 use xtract_sim::RngStreams;
@@ -107,7 +112,7 @@ fn notes(n: usize) -> Vec<(String, String)> {
         .map(|i| {
             (
                 format!("/data/n{i:02}/notes.txt"),
-                format!("field observations, plot {i}"),
+                format!("field observations of plot {i} under clear skies"),
             )
         })
         .collect()
@@ -420,6 +425,251 @@ fn a_donated_familys_document_survives_the_hand_off() {
             break;
         }
     }
+}
+
+/// The families a donor's snapshot says it gave away (its last migration
+/// record for them is an out-record) and those whose steps it restates.
+/// `wal` is a log whose owner was killed inside a compaction, so its live
+/// view is `[snapshot.., the mid-compaction crash, whatever the
+/// coordinator appended while adopting its orphans..]`; `None` when it is
+/// not.
+fn snapshot_donations(wal: &Path) -> Option<(Vec<FamilyId>, Vec<FamilyId>)> {
+    let replay = RecoveryLog::scan(wal).unwrap();
+    let view = replay.effective();
+    let end = view.iter().position(
+        |r| matches!(r, RecoveryRecord::CrashRecorded { point } if point == "mid-compaction"),
+    )?;
+    let mut away: HashMap<FamilyId, bool> = HashMap::new();
+    let mut restated = Vec::new();
+    for r in &view[..end] {
+        match r {
+            RecoveryRecord::FamilyMigrated {
+                family, adopted, ..
+            } => {
+                away.insert(family.id, !adopted);
+            }
+            RecoveryRecord::StepCompleted { family, .. } => restated.push(*family),
+            _ => {}
+        }
+    }
+    let donated = away
+        .into_iter()
+        .filter_map(|(family, gone)| gone.then_some(family))
+        .collect();
+    Some((donated, restated))
+}
+
+#[test]
+fn a_donated_familys_steps_leave_the_donors_snapshots_and_survive_a_kill_and_resume() {
+    // The live hand-off again, with segments so small that both shards
+    // compact after every wave. Shard 0 drains its prose, parks and pulls
+    // tables off shard 1. The donor is killed inside its third compaction
+    // — its live WAL view is then exactly that snapshot — and the
+    // recipient at its third wave, the last of the stolen tables' plans:
+    // nobody is left, the run strands, and a resume has to finish it from
+    // two compacted logs. Whether shard 0 parks in time to steal before
+    // the donor's last wave is a race, so a round that did not is run
+    // again; every round is held to the documents.
+    let (files, baseline) = two_shard_corpus(3000);
+    let mut exercised = false;
+    for round in 0..5 {
+        let dir = tempdir(&format!("compacted-{round}"));
+        let wals = [dir.join("shard-0"), dir.join("shard-1")];
+        let (_, _, mut spec) = rig(files.clone(), 2);
+        spec.shard = ShardPolicy::sharded(2);
+        spec.shard.partitioner = PartitionerKind::Range;
+        spec.recovery.segment_bytes = 512;
+        spec.recovery.compact_segments = 2;
+        spec.fault_plan = Some(FaultPlan {
+            shard_crashes: vec![
+                ShardCrash {
+                    shard: 1,
+                    point: CrashPoint::MidCompaction,
+                    at_occurrence: 3,
+                },
+                ShardCrash {
+                    shard: 0,
+                    point: CrashPoint::MidWave,
+                    at_occurrence: 3,
+                },
+            ],
+            ..FaultPlan::new(9)
+        });
+
+        let (svc, token, _) = rig(files.clone(), 2);
+        let mut outcome = svc.resume_job(token, &spec, &dir);
+        if matches!(outcome, Err(XtractError::ShardDied { .. })) {
+            // Stranded. What the donor's snapshot holds, before a resume
+            // appends to it:
+            if let Some((donated, restated)) = snapshot_donations(&wals[1]) {
+                if !donated.is_empty() {
+                    exercised = true;
+                    assert!(
+                        !restated.is_empty(),
+                        "the snapshot restates the steps of the families the donor kept"
+                    );
+                    for family in &donated {
+                        assert!(
+                            !restated.contains(family),
+                            "{family} was donated and its out-record carries its steps: \
+                             the snapshot must not restate them"
+                        );
+                    }
+                }
+            }
+            // A fresh service, sharing only the logs. Each shard's kill is
+            // journaled, so nothing dies twice.
+            let (svc, token, _) = rig(files.clone(), 2);
+            outcome = svc.resume_job(token, &spec, &dir);
+            assert_nothing_tracked(&svc);
+        } else {
+            // The steal came too late for both kills to land.
+            exercised = false;
+        }
+        let report = outcome.unwrap();
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        assert_documents_are_journal_folds(&report, &wals);
+        assert_eq!(sorted_documents(&report), baseline);
+        let _ = std::fs::remove_dir_all(&dir);
+        if exercised {
+            break;
+        }
+    }
+    assert!(
+        exercised,
+        "no round stranded with a donation inside the donor's snapshot"
+    );
+}
+
+#[test]
+fn a_log_in_the_older_snapshot_order_resumes_to_the_same_documents() {
+    // Older builds restated a snapshot's steps in journal order —
+    // interleaved across families, a donated family's steps included,
+    // ahead of its out-record — where this one restates them family by
+    // family and leaves a donated family's to the out-record. Both must
+    // replay to the same state. The log is written by hand from a real
+    // run's records: six tables two waves into their plans, one of them
+    // given away, one arriving by in-record with its first step both
+    // carried and restated.
+    let files = tables(6, 24);
+    let (svc, token, spec) = rig(files.clone(), 2);
+    let baseline = svc.run_job(token, &spec).unwrap();
+    assert_eq!(baseline.records.len(), 6);
+
+    let run_dir = tempdir("older-order-run");
+    let (svc, token, mut killed) = rig(files.clone(), 2);
+    killed.fault_plan = Some(FaultPlan {
+        orchestrator_crashes: vec![OrchestratorCrash {
+            point: CrashPoint::MidWave,
+            at_occurrence: 2,
+        }],
+        ..FaultPlan::new(3)
+    });
+    let err = svc
+        .run_job_with_recovery(token, &killed, &run_dir)
+        .unwrap_err();
+    assert!(matches!(err, XtractError::OrchestratorKilled { .. }));
+    let journal = RecoveryLog::scan(&run_dir).unwrap().records;
+    let planned: Vec<&Family> = journal
+        .iter()
+        .filter_map(|r| match r {
+            RecoveryRecord::FamilyPlanned { family } => Some(family),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(planned.len(), 6);
+    let journaled = |id: FamilyId| -> Vec<MigratedStep> {
+        journal
+            .iter()
+            .filter_map(|r| match r {
+                RecoveryRecord::StepCompleted {
+                    family,
+                    kind,
+                    metadata,
+                    discoveries,
+                } if *family == id => Some(MigratedStep {
+                    kind: *kind,
+                    metadata: Arc::clone(metadata),
+                    discoveries: discoveries.clone(),
+                }),
+                _ => None,
+            })
+            .collect()
+    };
+    let (donated, arriving) = (planned[1], planned[4]);
+    assert_eq!(journaled(donated.id).len(), 2, "keyword and tabular ran");
+
+    let mut log = vec![
+        RecoveryRecord::JobStarted {
+            fingerprint: spec_fingerprint(&spec),
+        },
+        RecoveryRecord::CrawlCompleted {
+            crawled_files: 6,
+            groups: 6,
+            redundant_files: 0,
+        },
+    ];
+    // The plan, without the family that arrives by in-record.
+    log.extend(planned.iter().filter(|f| f.id != arriving.id).map(|f| {
+        RecoveryRecord::FamilyPlanned {
+            family: (*f).clone(),
+        }
+    }));
+    // Every journaled step, in journal order: wave 1 of all six families,
+    // then wave 2 of all six. The arriving family keeps only its first.
+    log.extend(
+        journal
+            .iter()
+            .filter(|r| match r {
+                RecoveryRecord::StepCompleted { family, kind, .. } => {
+                    *family != arriving.id || kind.name() == "keyword"
+                }
+                _ => false,
+            })
+            .cloned(),
+    );
+    log.push(RecoveryRecord::FamilyMigrated {
+        family: donated.clone(),
+        from: 0,
+        to: 1,
+        adopted: false,
+        steps: journaled(donated.id),
+        charges: 0,
+    });
+    log.push(RecoveryRecord::FamilyMigrated {
+        family: arriving.clone(),
+        from: 1,
+        to: 0,
+        adopted: true,
+        steps: journaled(arriving.id)[..1].to_vec(),
+        charges: 0,
+    });
+    let dir = tempdir("older-order");
+    {
+        let (wal, _) = RecoveryLog::open(&dir, spec.recovery).unwrap();
+        wal.append_batch(&log).unwrap();
+    }
+
+    let (svc, token, _) = rig(files, 2);
+    let report = svc.resume_job(token, &spec, &dir).unwrap();
+    assert!(report.resumed);
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert_eq!(report.invocations.get("keyword"), None);
+    assert_eq!(report.invocations["tabular"], 1, "the arriving family's");
+    assert_eq!(report.invocations["null-value"], 5);
+    let mut expected: Vec<_> = baseline
+        .records
+        .iter()
+        .filter(|r| r.family != donated.id)
+        .collect();
+    expected.sort_by_key(|r| r.family);
+    let mut got: Vec<_> = report.records.iter().collect();
+    got.sort_by_key(|r| r.family);
+    assert_eq!(got, expected);
+    assert_documents_are_journal_folds(&report, std::slice::from_ref(&dir));
+    assert_nothing_tracked(&svc);
+    let _ = std::fs::remove_dir_all(&run_dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every byte of every WAL segment under `dir`, in segment order.

@@ -1,6 +1,6 @@
 //! Peak live heap of one job, against what the job hands back: the guard
 //! on "one live copy of a result from worker to record". A result that is
-//! alive in the FaaS table, in the poll loop, in the checkpoint and in a
+//! alive in the FaaS table, in the poll loop, in a step table and in a
 //! merged document at once shows up here as a peak several times the
 //! size of the report; a single-owner result path peaks close to it.
 //!

@@ -336,7 +336,7 @@ fn idle_shard_steals_from_its_busy_sibling() {
         for i in 0..8 {
             fs.write(
                 &format!("/data/fast{i}/notes.txt"),
-                Bytes::from(format!("field observations, plot {i}")),
+                Bytes::from(format!("field observations of plot {i} under clear skies")),
             )
             .unwrap();
         }
@@ -490,34 +490,43 @@ fn out_record_without_in_record_repairs_to_exactly_one_owner() {
     }
 
     // Fabricate the torn hand-over exactly as the dead donor would have
-    // journaled it: pick a shard-0 family that is neither dead-lettered
-    // nor already migrated, carry its journaled steps and charges in the
-    // out-record (a real donor restates the history the recipient needs),
-    // and append only the donor half of the migration pair.
-    let sd0 = chaos_dir.join("shard-0");
-    let scan0 = RecoveryLog::scan(&sd0).unwrap();
-    let mut ineligible: HashSet<FamilyId> = HashSet::new();
-    let mut candidates = Vec::new();
-    let mut charges: HashMap<FamilyId, u32> = HashMap::new();
-    for r in scan0.effective() {
-        match r {
-            RecoveryRecord::FamilyPlanned { family } => candidates.push(family.clone()),
-            RecoveryRecord::FamilyMigrated { family, .. } => {
-                ineligible.insert(family.id);
+    // journaled it: pick a family its shard still plans, neither
+    // dead-lettered nor migrated, carry its journaled steps and charges in
+    // the out-record (a real donor restates the history the recipient
+    // needs), and append only the donor half of the migration pair. The
+    // donor is the shard that died last: whichever died first had its
+    // families adopted by the other, so its WAL plans none any more.
+    let live_family_of = |k: usize| {
+        let scan = RecoveryLog::scan(chaos_dir.join(format!("shard-{k}"))).unwrap();
+        let mut ineligible: HashSet<FamilyId> = HashSet::new();
+        let mut candidates = Vec::new();
+        let mut charges: HashMap<FamilyId, u32> = HashMap::new();
+        for r in scan.effective() {
+            match r {
+                RecoveryRecord::FamilyPlanned { family } => candidates.push(family.clone()),
+                RecoveryRecord::FamilyMigrated { family, .. } => {
+                    ineligible.insert(family.id);
+                }
+                RecoveryRecord::DeadLettered { letter } => {
+                    ineligible.insert(letter.family);
+                }
+                RecoveryRecord::RetryCharged { family, amount } => {
+                    *charges.entry(*family).or_insert(0) += amount;
+                }
+                _ => {}
             }
-            RecoveryRecord::DeadLettered { letter } => {
-                ineligible.insert(letter.family);
-            }
-            RecoveryRecord::RetryCharged { family, amount } => {
-                *charges.entry(*family).or_insert(0) += amount;
-            }
-            _ => {}
         }
-    }
-    let victim = candidates
-        .into_iter()
-        .find(|f| !ineligible.contains(&f.id))
-        .expect("some shard-0 family is still live");
+        let victim = candidates
+            .into_iter()
+            .find(|f| !ineligible.contains(&f.id))?;
+        let spent = charges.get(&victim.id).copied().unwrap_or(0);
+        Some((scan, victim, spent))
+    };
+    let (donor, (scan0, victim, spent)) = (0..SHARDS)
+        .find_map(|k| Some((k, live_family_of(k)?)))
+        .expect("the shard that died last still plans its own families");
+    let recipient = 1 - donor;
+    let sd0 = chaos_dir.join(format!("shard-{donor}"));
     let victim_id = victim.id;
     let steps: Vec<MigratedStep> = scan0
         .effective()
@@ -540,11 +549,11 @@ fn out_record_without_in_record_repairs_to_exactly_one_owner() {
         let (log, _) = RecoveryLog::open(&sd0, chaos_spec.recovery).unwrap();
         log.append(&RecoveryRecord::FamilyMigrated {
             family: victim,
-            from: 0,
-            to: 1,
+            from: donor as u64,
+            to: recipient as u64,
             adopted: false,
             steps,
-            charges: charges.get(&victim_id).copied().unwrap_or(0),
+            charges: spent,
         })
         .unwrap();
     }
@@ -561,7 +570,7 @@ fn out_record_without_in_record_repairs_to_exactly_one_owner() {
     );
 
     // Exactly one owner: the donor half we fabricated is paired with
-    // exactly one adopted in-record, and it lives in shard 1's WAL.
+    // exactly one adopted in-record, and it lives in the recipient's WAL.
     let shard_logs: Vec<Replay> = scan_shards(&chaos_dir, SHARDS)
         .into_iter()
         .map(|s| s.expect("both shard dirs exist"))
@@ -586,8 +595,8 @@ fn out_record_without_in_record_repairs_to_exactly_one_owner() {
     }
     assert_eq!(outs, 1, "the fabricated out-record must survive replay");
     assert_eq!(
-        ins_by_shard,
-        [0, 1],
+        (ins_by_shard[donor], ins_by_shard[recipient]),
+        (0, 1),
         "flip_side repair must land exactly one in-record, on the recipient"
     );
 

@@ -8,7 +8,7 @@
 //!   `hedge.won + hedge.wasted == hedge.launched`.
 //! * First-productive-wins must never double-count: no record carries a
 //!   duplicate `(family, extractor)` contribution, and a cancelled hedge
-//!   loser never double-flushes the checkpoint store.
+//!   loser never completes a step a second time.
 
 use bytes::Bytes;
 use std::sync::Arc;
@@ -265,9 +265,9 @@ fn hedging_beats_stragglers_and_allocation_expiry() {
 }
 
 /// Regression: when the *primary* wins, the cancelled hedge loser counts
-/// as `hedge.wasted` but must never double-flush the checkpoint store —
-/// one flush per `(family, extractor)`, no matter how many speculative
-/// copies were in flight.
+/// as `hedge.wasted` but must never fold its result into the family —
+/// one completed step per `(family, extractor)`, no matter how many
+/// speculative copies were in flight.
 #[test]
 fn cancelled_hedge_loser_never_double_flushes_checkpoint() {
     let fabric = Arc::new(DataFabric::new());
@@ -299,7 +299,6 @@ fn cancelled_hedge_loser_never_double_flushes_checkpoint() {
     spec.roots = vec![(src, "/data".to_string())];
     spec.max_family_size = 1;
     spec.xtract_batch_size = 1;
-    spec.checkpoint = true;
     spec.hedge = HedgePolicy {
         deadline_floor_ms: 50,
         deadline_ceiling_ms: 100,
@@ -341,13 +340,13 @@ fn cancelled_hedge_loser_never_double_flushes_checkpoint() {
     assert_eq!(svc.faas().tracked_tasks(), vec![]);
 
     // Free-text families run a single `keyword` step: exactly one
-    // checkpoint flush per family, even though a speculative copy of
+    // completed step per family, even though a speculative copy of
     // each task was cancelled mid-flight.
-    let flushes = hub.counter_value("checkpoint.flushes", None);
+    let completed = hub.counter_value("steps.completed", None);
     assert_eq!(
-        flushes,
+        completed,
         report.records.len() as u64,
-        "a cancelled hedge loser must not double-flush the checkpoint"
+        "a cancelled hedge loser must not complete its step a second time"
     );
     for r in &report.records {
         assert_eq!(
