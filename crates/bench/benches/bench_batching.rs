@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use xtract_bench::matio_lite_profiles;
-use xtract_core::adaptive::{AdaptiveTuner, BatchTuner, WaveEvidence};
+use xtract_core::adaptive::{AdaptiveTuner, WaveEvidence};
 use xtract_core::campaign::{Campaign, CampaignConfig, CampaignReport};
 use xtract_sim::sites;
 use xtract_types::{AdaptiveBatching, EndpointId};

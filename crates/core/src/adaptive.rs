@@ -105,44 +105,6 @@ pub enum TuneDecision {
     Held,
 }
 
-/// The wave loop's view of a batch-size source. `StaticTuner` freezes
-/// the spec's sizes (today's behavior); `AdaptiveTuner` closes the loop.
-pub trait BatchTuner {
-    /// Limits to build the next wave's batches with, for `endpoint`.
-    fn limits(&mut self, endpoint: EndpointId) -> BatchLimits;
-    /// Feeds one completed wave's evidence back.
-    fn observe_wave(&mut self, endpoint: EndpointId, evidence: &WaveEvidence) -> TuneDecision;
-}
-
-/// The no-op tuner: spec sizes, unbounded polls, evidence ignored.
-#[derive(Debug, Clone, Copy)]
-pub struct StaticTuner {
-    limits: BatchLimits,
-}
-
-impl StaticTuner {
-    /// Static limits from the spec's two batch knobs.
-    pub fn new(xtract: usize, funcx: usize) -> Self {
-        Self {
-            limits: BatchLimits {
-                xtract,
-                funcx,
-                poll_chunk: usize::MAX,
-            },
-        }
-    }
-}
-
-impl BatchTuner for StaticTuner {
-    fn limits(&mut self, _endpoint: EndpointId) -> BatchLimits {
-        self.limits
-    }
-
-    fn observe_wave(&mut self, _endpoint: EndpointId, _evidence: &WaveEvidence) -> TuneDecision {
-        TuneDecision::Held
-    }
-}
-
 /// Per-endpoint controller state. Knobs are fractional so repeated
 /// multiplicative backoff accumulates below integer resolution instead
 /// of sticking at a rounded value.
@@ -247,15 +209,15 @@ impl AdaptiveTuner {
     pub fn policy(&self) -> &AdaptiveBatching {
         &self.policy
     }
-}
 
-impl BatchTuner for AdaptiveTuner {
-    fn limits(&mut self, endpoint: EndpointId) -> BatchLimits {
+    /// Limits to build the next wave's batches with, for `endpoint`.
+    pub fn limits(&mut self, endpoint: EndpointId) -> BatchLimits {
         let ctl = *self.state(endpoint);
         self.limits_of(&ctl)
     }
 
-    fn observe_wave(&mut self, endpoint: EndpointId, evidence: &WaveEvidence) -> TuneDecision {
+    /// Feeds one completed wave's evidence back.
+    pub fn observe_wave(&mut self, endpoint: EndpointId, evidence: &WaveEvidence) -> TuneDecision {
         let mut ctl = *self.state(endpoint);
         let decision = if evidence.breaches > 0 || evidence.breaker_open {
             self.back_off(&mut ctl);
@@ -437,8 +399,6 @@ mod tests {
             lim.poll_chunk,
             (2usize * 2).clamp(p.poll_floor, p.poll_ceiling)
         );
-        let stat = StaticTuner::new(8, 16).limits(ep(0));
-        assert_eq!(stat.poll_chunk, usize::MAX);
     }
 
     #[test]

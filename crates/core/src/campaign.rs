@@ -25,7 +25,7 @@
 //!    work in flight at expiry is lost and resubmitted; the checkpoint
 //!    flag preserves finished families inside lost tasks (§5.8.1).
 
-use crate::adaptive::{AdaptiveTuner, BatchTuner, WaveEvidence};
+use crate::adaptive::{AdaptiveTuner, WaveEvidence};
 use crate::crawlmodel::CrawlModel;
 use rand::rngs::SmallRng;
 use xtract_obs::{Phase, PhaseTimings};

@@ -6,20 +6,16 @@
 //! Listing 2's `xmc.submit(...)`, `get_crawl_status`, `get_extract_status`
 //! flow.
 //!
-//! Two shells wrap the synchronous [`XtractService`]:
-//!
-//! * [`JobManager`] — the single-user shell: one background worker per
-//!   job, `submit` returns a [`JobId`] immediately, results become
-//!   available when the job completes. Finished worker handles are
-//!   reaped on every submit, so the handle table stays bounded no matter
-//!   how many jobs a long-lived manager runs.
-//! * [`JobService`] — the multi-tenant shell the paper's shared service
-//!   deployment implies: a bounded worker pool drains a weighted
-//!   fair-share [`JobQueue`], admission control rejects (with a
-//!   retry-after hint) when a tenant's quota is already exhausted,
-//!   overload sheds only lower-priority *pending* jobs, and every
-//!   admission decision lands in the journal and the `service.*`
-//!   counters.
+//! [`JobService`] is that interface over the synchronous
+//! [`XtractService`] — Listing 2's `xmc.submit` is [`JobService::submit`]:
+//! it returns a [`JobId`] immediately and the report becomes available
+//! when the job completes. It is the multi-tenant shell the paper's
+//! shared service deployment implies (a single user is one registered
+//! tenant): a bounded worker pool drains a weighted fair-share
+//! [`JobQueue`], admission control rejects (with a retry-after hint) when
+//! a tenant's quota is already exhausted, overload sheds only
+//! lower-priority *pending* jobs, and every admission decision lands in
+//! the journal and the `service.*` counters.
 //!
 //! Jobs that journal to a recovery log hold a [`LogDirLease`] from
 //! submit until they reach a terminal status, so two live jobs can never
@@ -184,157 +180,6 @@ impl Shared {
     }
 }
 
-/// The asynchronous single-user job manager: one worker thread per job.
-pub struct JobManager {
-    service: Arc<XtractService>,
-    shared: Arc<Shared>,
-    ids: IdAllocator,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl JobManager {
-    /// A manager over a service.
-    pub fn new(service: Arc<XtractService>) -> Self {
-        Self {
-            service,
-            shared: Arc::new(Shared {
-                slots: Mutex::new(HashMap::new()),
-                cv: Condvar::new(),
-            }),
-            ids: IdAllocator::new(),
-            handles: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Submits a job; returns immediately with its id (Listing 2's
-    /// `task_id = xmc.submit(...)`). Validation errors surface here, not
-    /// in the background.
-    pub fn submit(&self, token: Token, spec: JobSpec) -> Result<JobId> {
-        self.submit_inner(token, spec, None)
-    }
-
-    /// Submits a job that journals to a durable recovery log at `log_dir`.
-    /// If the directory already holds a prior run's log, the job resumes
-    /// from it — completed steps are replayed, not re-executed — and the
-    /// retrieved report carries `resumed` / `replayed_records`. The same
-    /// call therefore serves both "start durably" and "pick up where the
-    /// killed orchestrator left off".
-    ///
-    /// The directory is leased for the job's lifetime: submitting a
-    /// second job against a directory whose job is still live fails
-    /// *here*, synchronously, with [`XtractError::RecoveryLogBusy`] —
-    /// two jobs interleaving frames in one WAL would poison its replay.
-    pub fn submit_with_recovery(
-        &self,
-        token: Token,
-        spec: JobSpec,
-        log_dir: impl Into<PathBuf>,
-    ) -> Result<JobId> {
-        self.submit_inner(token, spec, Some(log_dir.into()))
-    }
-
-    fn submit_inner(&self, token: Token, spec: JobSpec, log_dir: Option<PathBuf>) -> Result<JobId> {
-        spec.validate()
-            .map_err(|reason| XtractError::InvalidJob { reason })?;
-        // The lease is taken synchronously so a conflicting submit fails
-        // deterministically at the call site, never in the background.
-        let lease = match &log_dir {
-            Some(dir) => Some(LogDirLease::acquire(dir)?),
-            None => None,
-        };
-        let id = JobId::new(self.ids.next());
-        {
-            let mut slots = self.shared.slots.lock();
-            slots.insert(
-                id,
-                JobSlot {
-                    status: Some(JobStatus::Pending),
-                    report: None,
-                },
-            );
-        }
-        let service = self.service.clone();
-        let shared = self.shared.clone();
-        let handle = std::thread::spawn(move || {
-            {
-                let mut slots = shared.slots.lock();
-                if let Some(slot) = slots.get_mut(&id) {
-                    slot.status = Some(JobStatus::Running);
-                }
-            }
-            let outcome = match &log_dir {
-                Some(dir) => service.run_job_with_recovery(token, &spec, dir),
-                None => service.run_job(token, &spec),
-            };
-            // Release the WAL directory before the terminal status is
-            // visible: a waiter that observes Complete/Failed can
-            // resubmit against the same directory without racing the
-            // lease.
-            drop(lease);
-            shared.finish(id, outcome);
-        });
-        // Reap finished workers so the handle table stays bounded over a
-        // long-lived manager's life; Drop still joins the stragglers.
-        let mut handles = self.handles.lock();
-        handles.retain(|h| !h.is_finished());
-        handles.push(handle);
-        Ok(id)
-    }
-
-    /// Current status (Listing 2's `get_crawl_status` /
-    /// `get_extract_status` rolled into one view).
-    pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        self.shared.status(id)
-    }
-
-    /// Blocks until the job is terminal or `timeout` passes; returns the
-    /// final status on success.
-    pub fn wait(&self, id: JobId, timeout: Duration) -> Option<JobStatus> {
-        self.shared.wait(id, timeout)
-    }
-
-    /// Takes the finished report (Listing 2's metadata retrieval). `None`
-    /// until terminal; consumes the report.
-    pub fn take_report(&self, id: JobId) -> Option<std::result::Result<JobReport, String>> {
-        self.shared.take_report(id)
-    }
-
-    /// Ids of all known jobs, sorted.
-    pub fn jobs(&self) -> Vec<JobId> {
-        self.shared.jobs()
-    }
-
-    /// Worker handles still tracked (live workers plus any finished ones
-    /// not yet reaped). Reaps before counting, so a quiesced manager
-    /// reports zero.
-    pub fn worker_backlog(&self) -> usize {
-        let mut handles = self.handles.lock();
-        handles.retain(|h| !h.is_finished());
-        handles.len()
-    }
-
-    /// The underlying service's observability bundle: live metrics and the
-    /// event journal accumulate across every job this manager runs.
-    pub fn obs(&self) -> &xtract_obs::Obs {
-        self.service.obs()
-    }
-
-    /// The live serving index, once any managed job has opted into index
-    /// ingest (`spec.index.enabled`). Queries run lock-free against
-    /// per-shard snapshots while jobs keep ingesting.
-    pub fn index(&self) -> Option<Arc<xtract_index::SearchIndex>> {
-        self.service.index()
-    }
-}
-
-impl Drop for JobManager {
-    fn drop(&mut self) {
-        for h in self.handles.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The multi-tenant job service
 // ---------------------------------------------------------------------------
@@ -359,8 +204,8 @@ struct ServiceInner {
     shutdown: AtomicBool,
 }
 
-/// The long-lived multi-tenant job service: [`JobManager`]'s interface,
-/// shared fairly between registered tenants.
+/// The long-lived multi-tenant job service: the asynchronous job
+/// interface, shared fairly between registered tenants.
 ///
 /// * **Admission control** — a submission from a tenant whose quota is
 ///   already exhausted is rejected immediately with
@@ -447,7 +292,9 @@ impl JobService {
 
     /// Submits a job on behalf of `tenant` at `priority` (higher
     /// dispatches first within the tenant, and outranks others' pending
-    /// jobs under overload shedding).
+    /// jobs under overload shedding); returns immediately with its id
+    /// (Listing 2's `task_id = xmc.submit(...)`). Validation errors
+    /// surface here, not in the background.
     pub fn submit(
         &self,
         tenant: TenantId,
@@ -458,10 +305,17 @@ impl JobService {
         self.submit_inner(tenant, priority, token, spec, None)
     }
 
-    /// As [`Self::submit`], journaling to a recovery log at `log_dir`
-    /// (leased for the job's lifetime — see
-    /// [`JobManager::submit_with_recovery`]). A shed job's resubmission
-    /// against the same directory resumes from the WAL.
+    /// As [`Self::submit`], journaling to a durable recovery log at
+    /// `log_dir`. If the directory already holds a prior run's log, the job
+    /// resumes from it — completed steps are replayed, not re-executed —
+    /// and the retrieved report carries `resumed` / `replayed_records`: the
+    /// same call serves "start durably", "pick up where the killed
+    /// orchestrator left off" and a shed job's resubmission.
+    ///
+    /// The directory is leased for the job's lifetime: submitting a
+    /// second job against a directory whose job is still live fails
+    /// *here*, synchronously, with [`XtractError::RecoveryLogBusy`] —
+    /// two jobs interleaving frames in one WAL would poison its replay.
     pub fn submit_with_recovery(
         &self,
         tenant: TenantId,
@@ -511,6 +365,8 @@ impl JobService {
                 retry_after_ms: self.policy.retry_after_ms,
             });
         }
+        // The lease is taken synchronously so a conflicting submit fails
+        // deterministically at the call site, never in the background.
         let lease = match &log_dir {
             Some(dir) => Some(LogDirLease::acquire(dir)?),
             None => None,
@@ -583,7 +439,8 @@ impl JobService {
         }
     }
 
-    /// Current status of a job.
+    /// Current status of a job (Listing 2's `get_crawl_status` /
+    /// `get_extract_status` rolled into one view).
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
         self.inner.shared.status(id)
     }
@@ -660,11 +517,8 @@ fn worker_loop(service: Arc<XtractService>, inner: Arc<ServiceInner>) {
             None => service.run_job_as(payload.token, &payload.spec, Some(&payload.tenant)),
         };
         let ok = outcome.is_ok();
-        // Lease before status, status before slot free: a waiter that
-        // sees the terminal status may immediately resubmit against the
-        // same WAL directory.
-        drop(payload.lease);
-        inner.shared.finish(job, outcome);
+        // Journal and count before the status publishes: a waiter that
+        // sees the job terminal reads counters that already include it.
         obs.journal.record(Event::JobFinished {
             tenant: tenant_id,
             job,
@@ -680,6 +534,11 @@ fn worker_loop(service: Arc<XtractService>, inner: Arc<ServiceInner>) {
                 Some(&label),
             )
             .incr();
+        // Lease before status, status before slot free: a waiter that
+        // sees the terminal status may immediately resubmit against the
+        // same WAL directory.
+        drop(payload.lease);
+        inner.shared.finish(job, outcome);
         inner.state.lock().queue.note_done(tenant_id);
         // A concurrency slot freed: wake workers blocked on an
         // at-cap tenant's pending work.
@@ -706,9 +565,12 @@ mod tests {
     use xtract_types::config::ContainerRuntime;
     use xtract_types::{EndpointId, EndpointSpec, QuotaResource, TenantQuota};
 
-    fn rig(files: u64) -> (JobManager, Token, JobSpec) {
+    /// The single-user shape: a service with one registered tenant.
+    fn rig(files: u64) -> (JobService, TenantId, Token, JobSpec) {
         let (service, token, spec) = service_rig(files);
-        (JobManager::new(service), token, spec)
+        let svc = JobService::new(service, ServicePolicy::default()).unwrap();
+        let user = svc.register_tenant(TenantSpec::new("user", 1)).unwrap();
+        (svc, user, token, spec)
     }
 
     fn service_rig(files: u64) -> (Arc<XtractService>, Token, JobSpec) {
@@ -761,9 +623,9 @@ mod tests {
 
     #[test]
     fn submit_wait_take_report() {
-        let (mgr, token, spec) = rig(20);
-        let id = mgr.submit(token, spec).unwrap();
-        let status = mgr.wait(id, Duration::from_secs(30)).unwrap();
+        let (svc, user, token, spec) = rig(20);
+        let id = svc.submit(user, 0, token, spec).unwrap();
+        let status = svc.wait(id, Duration::from_secs(30)).unwrap();
         match status {
             JobStatus::Complete { records, failures } => {
                 assert!(records > 0);
@@ -771,25 +633,25 @@ mod tests {
             }
             other => panic!("unexpected status {other:?}"),
         }
-        let report = mgr.take_report(id).unwrap().unwrap();
+        let report = svc.take_report(id).unwrap().unwrap();
         assert!(!report.records.is_empty());
         // Reports are consumed once.
-        assert!(mgr.take_report(id).is_none());
+        assert!(svc.take_report(id).is_none());
         // The shared observability bundle saw the job happen.
-        let snap = mgr.obs().hub.snapshot();
+        let snap = svc.obs().hub.snapshot();
         // crawl.* is labeled per endpoint; the aggregate is the label sum.
         assert!(snap.counter_sum("crawl.files") >= 20);
-        assert!(!mgr.obs().journal.is_empty());
+        assert!(!svc.obs().journal.is_empty());
     }
 
     #[test]
     fn async_reports_carry_consistent_phase_timings() {
-        let (mgr, token, spec) = rig(16);
+        let (svc, user, token, spec) = rig(16);
         let started = std::time::Instant::now();
-        let id = mgr.submit(token, spec).unwrap();
-        mgr.wait(id, Duration::from_secs(30)).unwrap();
+        let id = svc.submit(user, 0, token, spec).unwrap();
+        svc.wait(id, Duration::from_secs(30)).unwrap();
         let wall = started.elapsed().as_secs_f64();
-        let report = mgr.take_report(id).unwrap().unwrap();
+        let report = svc.take_report(id).unwrap().unwrap();
         let total = report.phases.total();
         assert!(total > 0.0, "no phase time recorded");
         // Stage is the union of the staging pool's concurrent spans, so
@@ -803,72 +665,50 @@ mod tests {
 
     #[test]
     fn invalid_jobs_fail_at_submit_not_in_background() {
-        let (mgr, token, mut spec) = rig(2);
+        let (svc, user, token, mut spec) = rig(2);
         spec.max_family_size = 0;
         assert!(matches!(
-            mgr.submit(token, spec),
+            svc.submit(user, 0, token, spec),
             Err(XtractError::InvalidJob { .. })
         ));
-        assert!(mgr.jobs().is_empty());
+        assert!(svc.jobs().is_empty());
     }
 
     #[test]
     fn concurrent_jobs_are_isolated() {
-        let (mgr, token, spec) = rig(24);
-        let a = mgr.submit(token, spec.clone()).unwrap();
-        let b = mgr.submit(token, spec).unwrap();
+        let (svc, user, token, spec) = rig(24);
+        let a = svc.submit(user, 0, token, spec.clone()).unwrap();
+        let b = svc.submit(user, 0, token, spec).unwrap();
         assert_ne!(a, b);
-        assert_eq!(mgr.jobs().len(), 2);
-        let sa = mgr.wait(a, Duration::from_secs(30)).unwrap();
-        let sb = mgr.wait(b, Duration::from_secs(30)).unwrap();
+        assert_eq!(svc.jobs().len(), 2);
+        let sa = svc.wait(a, Duration::from_secs(30)).unwrap();
+        let sb = svc.wait(b, Duration::from_secs(30)).unwrap();
         assert!(sa.is_terminal() && sb.is_terminal());
-        let ra = mgr.take_report(a).unwrap().unwrap();
-        let rb = mgr.take_report(b).unwrap().unwrap();
+        let ra = svc.take_report(a).unwrap().unwrap();
+        let rb = svc.take_report(b).unwrap().unwrap();
         assert_eq!(ra.records.len(), rb.records.len());
     }
 
     #[test]
-    fn finished_worker_handles_are_reaped_not_hoarded() {
-        let (mgr, token, spec) = rig(4);
-        // N sequential terminal jobs must not leave N handles behind: the
-        // submit-time reap and the reaping backlog probe keep the table
-        // bounded regardless of job count.
-        for _ in 0..8 {
-            let id = mgr.submit(token, spec.clone()).unwrap();
-            assert!(mgr.wait(id, Duration::from_secs(30)).unwrap().is_terminal());
-        }
-        // The final worker may still be between publishing its terminal
-        // status and exiting; give the probe a moment to observe it done.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            let backlog = mgr.worker_backlog();
-            if backlog == 0 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "handle table not reaped: {backlog} handles after 8 terminal jobs"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-
-    #[test]
     fn recovery_jobs_resume_through_the_async_interface() {
-        let (mgr, token, spec) = rig(12);
+        let (svc, user, token, spec) = rig(12);
         let dir = temp_dir("recovery");
 
-        let a = mgr.submit_with_recovery(token, spec.clone(), &dir).unwrap();
-        assert!(mgr.wait(a, Duration::from_secs(30)).unwrap().is_terminal());
-        let first = mgr.take_report(a).unwrap().unwrap();
+        let a = svc
+            .submit_with_recovery(user, 0, token, spec.clone(), &dir)
+            .unwrap();
+        assert!(svc.wait(a, Duration::from_secs(30)).unwrap().is_terminal());
+        let first = svc.take_report(a).unwrap().unwrap();
         assert!(!first.resumed);
         assert!(!first.records.is_empty());
 
         // Resubmitting against the same log replays the finished job:
         // nothing re-executes, the same records come back.
-        let b = mgr.submit_with_recovery(token, spec, &dir).unwrap();
-        assert!(mgr.wait(b, Duration::from_secs(30)).unwrap().is_terminal());
-        let second = mgr.take_report(b).unwrap().unwrap();
+        let b = svc
+            .submit_with_recovery(user, 0, token, spec, &dir)
+            .unwrap();
+        assert!(svc.wait(b, Duration::from_secs(30)).unwrap().is_terminal());
+        let second = svc.take_report(b).unwrap().unwrap();
         assert!(second.resumed);
         assert!(second.replayed_records > 0);
         assert!(
@@ -882,29 +722,33 @@ mod tests {
 
     #[test]
     fn concurrent_submits_to_one_log_dir_are_refused() {
-        let (mgr, token, spec) = rig(6);
+        let (svc, user, token, spec) = rig(6);
         let dir = temp_dir("lease");
         // Deterministic conflict: while the directory is leased (here by
         // a directly-held lease standing in for a live job), a second
         // submission fails synchronously with the typed busy error — it
         // never reaches the background where it could corrupt the WAL.
         let held = LogDirLease::acquire(&dir).unwrap();
-        let err = mgr
-            .submit_with_recovery(token, spec.clone(), &dir)
+        let err = svc
+            .submit_with_recovery(user, 0, token, spec.clone(), &dir)
             .unwrap_err();
         assert!(matches!(err, XtractError::RecoveryLogBusy { .. }));
         assert!(
-            mgr.jobs().is_empty(),
+            svc.jobs().is_empty(),
             "refused submit must not leave a slot"
         );
         drop(held);
         // With the lease free the submit goes through; and because a
         // finishing job releases its lease *before* its terminal status
         // publishes, wait-then-resubmit always succeeds.
-        let a = mgr.submit_with_recovery(token, spec.clone(), &dir).unwrap();
-        assert!(mgr.wait(a, Duration::from_secs(30)).unwrap().is_terminal());
-        let b = mgr.submit_with_recovery(token, spec, &dir).unwrap();
-        assert!(mgr.wait(b, Duration::from_secs(30)).unwrap().is_terminal());
+        let a = svc
+            .submit_with_recovery(user, 0, token, spec.clone(), &dir)
+            .unwrap();
+        assert!(svc.wait(a, Duration::from_secs(30)).unwrap().is_terminal());
+        let b = svc
+            .submit_with_recovery(user, 0, token, spec, &dir)
+            .unwrap();
+        assert!(svc.wait(b, Duration::from_secs(30)).unwrap().is_terminal());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -922,26 +766,26 @@ mod tests {
 
     #[test]
     fn unknown_job_has_no_status() {
-        let (mgr, _token, _spec) = rig(2);
-        assert!(mgr.status(JobId::new(99)).is_none());
-        assert!(mgr
+        let (svc, _user, _token, _spec) = rig(2);
+        assert!(svc.status(JobId::new(99)).is_none());
+        assert!(svc
             .wait(JobId::new(99), Duration::from_millis(10))
             .is_none());
     }
 
     #[test]
     fn bad_token_surfaces_as_failed_job() {
-        let (mgr, _token, spec) = rig(4);
+        let (svc, user, _token, spec) = rig(4);
         let foreign = AuthService::new().login("other", &[Scope::Crawl]);
-        let id = mgr.submit(foreign, spec).unwrap();
-        match mgr.wait(id, Duration::from_secs(30)).unwrap() {
+        let id = svc.submit(user, 0, foreign, spec).unwrap();
+        match svc.wait(id, Duration::from_secs(30)).unwrap() {
             JobStatus::Failed { kind, reason } => {
                 assert_eq!(kind, JobFailureKind::Orchestrator);
                 assert!(reason.contains("authorization"));
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(mgr.take_report(id).unwrap().is_err());
+        assert!(svc.take_report(id).unwrap().is_err());
     }
 
     // -- JobService ---------------------------------------------------------

@@ -84,13 +84,11 @@ pub mod transport;
 pub mod utility;
 pub mod validator;
 
-pub use adaptive::{
-    AdaptiveTuner, BatchLimits, BatchTuner, StaticTuner, TuneDecision, WaveEvidence,
-};
+pub use adaptive::{AdaptiveTuner, BatchLimits, TuneDecision, WaveEvidence};
 pub use batcher::{Batcher, FuncxBatch, XtractBatch};
 pub use campaign::{Campaign, CampaignConfig, CampaignReport};
 pub use families::{build_families, naive_families, FamilySet};
-pub use jobs::{JobFailureKind, JobManager, JobService, JobStatus};
+pub use jobs::{JobFailureKind, JobService, JobStatus};
 pub use planner::ExtractionPlan;
 pub use queue::{Admission, JobQueue, Victim};
 pub use recovery::{spec_fingerprint, LogDirLease, RecoveryLog, RecoveryRecord, Replay};

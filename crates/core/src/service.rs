@@ -39,7 +39,7 @@
 //! [`DeadLetter`]) — the chaos tests assert this partition at every
 //! injected fault rate.
 
-use crate::adaptive::{AdaptiveTuner, BatchLimits, BatchTuner, TuneDecision, WaveEvidence};
+use crate::adaptive::{AdaptiveTuner, BatchLimits, TuneDecision, WaveEvidence};
 use crate::batcher::{Batcher, XtractBatch};
 use crate::families::build_families;
 use crate::offload::{Offloader, Placement};
@@ -911,7 +911,7 @@ impl XtractService {
     /// by the Xtract service", §4.3.1; §5.8.1: extraction state is ready
     /// "within 3 seconds of the crawler being initiated"). Fills the
     /// report's crawl totals and `families` with the job's plan.
-    pub(crate) fn crawl_and_plan(
+    fn crawl_and_plan(
         &self,
         spec: &JobSpec,
         report: &mut JobReport,
@@ -972,6 +972,62 @@ impl XtractService {
             })??;
         }
         Ok(())
+    }
+
+    /// Stages 2+3 for any run, logged or not: the journaled plan when the
+    /// log holds one, else a crawl whose totals and plan one group commit
+    /// makes durable before any extraction work depends on them. Fills the
+    /// report's crawl totals, family count and crawl phase on `started`'s
+    /// clock.
+    ///
+    /// A resumed job with a journaled plan skips the crawl entirely:
+    /// replaying `FamilyPlanned` records both saves the re-crawl and pins
+    /// family identity — ids match the original run even though the
+    /// allocator has moved on. A shard runner (`replay_only`) never crawls:
+    /// the root did, and its plan is whatever its WAL holds — nothing, when
+    /// every family it was seeded with has since moved on (a crawl of its
+    /// own would run the whole corpus again under fresh ids).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn replay_or_crawl_plan(
+        &self,
+        spec: &JobSpec,
+        rec: Option<&RecoveryCtx>,
+        planned: Vec<Family>,
+        replayed_crawl: Option<(u64, u64, u64)>,
+        replay_only: bool,
+        started: Instant,
+        report: &mut JobReport,
+    ) -> Result<Vec<Family>> {
+        let t0 = started.elapsed().as_secs_f64();
+        let replay = replay_only || (rec.is_some_and(|c| c.resumed) && !planned.is_empty());
+        let mut families = planned;
+        if replay {
+            let (crawled, groups, redundant) = replayed_crawl.unwrap_or((0, 0, 0));
+            report.crawled_files = crawled;
+            report.groups = groups;
+            report.redundant_files = redundant;
+        } else {
+            self.crawl_and_plan(spec, report, &mut families)?;
+        }
+        report.families = families.len() as u64;
+        let t1 = started.elapsed().as_secs_f64();
+        report.phases.add(Phase::Crawl, t1 - t0);
+        report.phase_spans.push((Phase::Crawl, t0, t1));
+        if let (Some(ctx), false) = (rec, replay) {
+            let mut batch = Vec::with_capacity(families.len() + 1);
+            batch.push(RecoveryRecord::CrawlCompleted {
+                crawled_files: report.crawled_files,
+                groups: report.groups,
+                redundant_files: report.redundant_files,
+            });
+            batch.extend(
+                families
+                    .iter()
+                    .map(|f| RecoveryRecord::FamilyPlanned { family: f.clone() }),
+            );
+            ctx.log.append_batch(&batch)?;
+        }
+        Ok(families)
     }
 
     /// Runs a bulk extraction job to completion.
@@ -1046,40 +1102,29 @@ impl XtractService {
         self.auth.check(token, Scope::Extract)?;
         // A sharded run fans the plan out over N wave loops, each with
         // its own WAL subdirectory under the job's log dir.
-        if spec.shard.enabled && spec.shard.shards > 1 {
-            let Some(dir) = dir else {
-                return Err(XtractError::InvalidJob {
-                    reason: "sharded runs need a recovery log dir (shard WALs live under it)"
-                        .to_string(),
-                });
-            };
-            if let Some(plan) = &spec.fault_plan {
-                self.arm_faults(plan);
-            }
-            let result = crate::shard::run_sharded(self, token, spec, dir, tenant);
-            if spec.fault_plan.is_some() {
-                self.clear_faults();
-            }
-            return result;
+        let sharded = spec.shard.enabled && spec.shard.shards > 1;
+        if sharded && dir.is_none() {
+            return Err(XtractError::InvalidJob {
+                reason: "sharded runs need a recovery log dir (shard WALs live under it)"
+                    .to_string(),
+            });
         }
-        let (rec, replayed) = dir
-            .map(|dir| self.open_recovery(spec, dir, None))
-            .transpose()?
-            .unzip();
-
         // Arm the job's structured fault plan on both substrates for the
         // duration of the run (and disarm afterwards, pass or fail).
         if let Some(plan) = &spec.fault_plan {
             self.arm_faults(plan);
         }
-        let result = self.run_job_inner(
-            token,
-            spec,
-            rec.as_ref(),
-            replayed.unwrap_or_default(),
-            tenant,
-            None,
-        );
+        let result = match dir {
+            Some(dir) if sharded => crate::shard::run_sharded(self, token, spec, dir, tenant),
+            _ => dir
+                .map(|dir| self.open_recovery(spec, dir, None))
+                .transpose()
+                .and_then(|opened| {
+                    let (rec, replayed) = opened.unzip();
+                    let replayed = replayed.unwrap_or_default();
+                    self.run_job_inner(token, spec, rec.as_ref(), replayed, tenant, None)
+                }),
+        };
         if spec.fault_plan.is_some() {
             self.clear_faults();
         }
@@ -1296,54 +1341,17 @@ impl XtractService {
                 .start_lease_watchdog(Duration::from_millis(spec.hedge.watchdog_renew_cooldown_ms))
         });
 
-        // --- Stages 2+3, overlapped: crawl on background threads while the
-        // service packages min-transfers families from directories as they
-        // stream in ("the crawler asynchronously enqueues it for processing
-        // by the Xtract service", §4.3.1; §5.8.1: extraction state is ready
-        // "within 3 seconds of the crawler being initiated"). ---------------
-        let crawl_started = Instant::now();
-        // A resumed job with a journaled plan skips the crawl entirely:
-        // replaying `FamilyPlanned` records both saves the re-crawl and
-        // pins family identity — ids match the original run even though
-        // the allocator has moved on. A shard runner never crawls: the
-        // root did, and its plan is whatever its WAL holds — nothing, when
-        // every family it was seeded with has since moved on (a crawl of
-        // its own would run the whole corpus again under fresh ids).
-        let resumed_plan =
-            shard.is_some() || (rec.is_some_and(|c| c.resumed) && !planned.is_empty());
-        let mut families: Vec<Family> = planned;
-        if resumed_plan {
-            let (crawled, groups, redundant) = replayed_crawl.unwrap_or((0, 0, 0));
-            report.crawled_files = crawled;
-            report.groups = groups;
-            report.redundant_files = redundant;
-        } else {
-            self.crawl_and_plan(spec, &mut report, &mut families)?;
-        }
-        report.families = families.len() as u64;
-        let crawl_s = crawl_started.elapsed().as_secs_f64();
-        let now_s = job_started.elapsed().as_secs_f64();
-        report.phases.add(Phase::Crawl, crawl_s);
-        report
-            .phase_spans
-            .push((Phase::Crawl, now_s - crawl_s, now_s));
+        // --- Stages 2+3: the journaled plan, or crawl and journal one. ------
+        let families = self.replay_or_crawl_plan(
+            spec,
+            rec,
+            planned,
+            replayed_crawl,
+            shard.is_some(),
+            job_started,
+            &mut report,
+        )?;
         if let Some(ctx) = rec {
-            if !resumed_plan {
-                // One group commit makes the crawl + plan durable before
-                // any extraction work depends on it.
-                let mut batch = Vec::with_capacity(families.len() + 1);
-                batch.push(RecoveryRecord::CrawlCompleted {
-                    crawled_files: report.crawled_files,
-                    groups: report.groups,
-                    redundant_files: report.redundant_files,
-                });
-                batch.extend(
-                    families
-                        .iter()
-                        .map(|f| RecoveryRecord::FamilyPlanned { family: f.clone() }),
-                );
-                ctx.log.append_batch(&batch)?;
-            }
             if crash.hit(CrashPoint::AfterCrawl) {
                 ctx.log.append(&crash_record(CrashPoint::AfterCrawl))?;
                 return Err(killed(CrashPoint::AfterCrawl));

@@ -17,8 +17,8 @@
 //!   double-dispatches a `(family, extractor)` step;
 //! * **shard death** — a shard that dies mid-run (its scheduled
 //!   [`xtract_types::ShardCrash`] fired, or a real fault surfaced) is
-//!   adopted by the survivors: the coordinator re-acquires the dead
-//!   shard's lapsed lease, replays its WAL, and migrates every
+//!   adopted by the survivors: the supervisor fences the dead shard's
+//!   WAL past the lapsed lease, replays it, and migrates every
 //!   non-terminal family to the least-loaded healthy shard. Only when
 //!   *no* survivor remains does the job surface
 //!   [`XtractError::ShardDied`]; `resume_job` then replays every
@@ -27,6 +27,15 @@
 //! The root WAL (at the job's log dir itself) journals the crawl and
 //! the full plan before any shard fans out, so family identity is
 //! pinned across resumes exactly as in the single-loop path.
+//!
+//! **One supervisor, two launchers.** What happens when a shard's runner
+//! ends is decided in one place, [`ShardedJob::supervise`], over the
+//! shared [`ShardCoordinator`]. [`run_sharded`] (scoped threads, each
+//! with a [`ShardCtl`] into the coordinator's memory) and
+//! [`crate::transport::run_proc_sharded`] (worker processes speaking
+//! [`ShardLink`] over a socket) differ only in how a runner starts and
+//! how its end becomes a [`ShardExit`]; both runners share one body,
+//! [`run_shard`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -36,7 +45,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use xtract_datafabric::Token;
-use xtract_obs::{Event, Phase, SpanUnion};
+use xtract_obs::{Counter, Event, Phase, SpanUnion};
 use xtract_types::{DeadLetter, Family, FamilyId, JobSpec, PartitionerKind, Result, XtractError};
 
 use crate::recovery::{spec_fingerprint, LogDirLease, MigratedStep, RecoveryLog, RecoveryRecord};
@@ -153,7 +162,7 @@ enum SlotStatus {
     /// The shard's wave loop is live.
     Running,
     /// The shard drained its subset and is parked in
-    /// [`ShardCtl::idle_wait`], available for adoptions.
+    /// [`ShardCoordinator::idle_wait`], available for adoptions.
     Idle,
     /// The shard's runner returned its report.
     Done,
@@ -206,6 +215,12 @@ pub(crate) struct ShardCoordinator {
     cv: Condvar,
     policy: xtract_types::ShardPolicy,
     obs: xtract_obs::Obs,
+    // Taken from the hub once: `deliver` runs per migrant and `heartbeat`
+    // per wave, and a lookup by name costs ~15x a handle.
+    stolen: Counter,
+    lagging: Counter,
+    /// `shard.heartbeats`, labelled `shard-{k}`, one per slot.
+    heartbeats: Vec<Counter>,
 }
 
 /// What an idle shard should do next.
@@ -241,6 +256,14 @@ impl ShardCoordinator {
             }),
             cv: Condvar::new(),
             policy,
+            stolen: obs.hub.counter("shard.stolen"),
+            lagging: obs.hub.counter("shard.lagging"),
+            heartbeats: (0..shards)
+                .map(|k| {
+                    obs.hub
+                        .counter_with("shard.heartbeats", Some(&format!("shard-{k}")))
+                })
+                .collect(),
             obs,
         }
     }
@@ -280,10 +303,7 @@ impl ShardCoordinator {
             wave,
             pending,
         });
-        self.obs
-            .hub
-            .counter_with("shard.heartbeats", Some(&format!("shard-{shard}")))
-            .add(1);
+        self.heartbeats[shard].add(1);
         self.scan_locked(&mut inner, now);
         self.cv.notify_all();
     }
@@ -351,7 +371,7 @@ impl ShardCoordinator {
             from: migrant.from,
             to: to as u64,
         });
-        self.obs.hub.counter("shard.stolen").add(1);
+        self.stolen.add(1);
         inner.stolen += 1;
         inner.slots[to].inbox.push(migrant);
         self.cv.notify_all();
@@ -494,7 +514,7 @@ impl ShardCoordinator {
                         lag_ms: (age * 1000.0) as u64,
                         threshold_ms: (threshold * 1000.0) as u64,
                     });
-                    self.obs.hub.counter("shard.lagging").add(1);
+                    self.lagging.add(1);
                     inner.slots[k].steal = Some(StealRequest { to, max });
                 }
             }
@@ -579,41 +599,12 @@ impl ShardCoordinator {
     }
 }
 
-/// One shard's handle into the coordinator, threaded through the wave
-/// loop (`run_job_inner` consults it at every wave boundary).
+/// One in-process shard's handle into the coordinator it shares memory
+/// with, threaded through the wave loop (`run_job_inner` consults it at
+/// every wave boundary).
 pub(crate) struct ShardCtl {
-    coord: Arc<ShardCoordinator>,
+    pub coord: Arc<ShardCoordinator>,
     pub shard: usize,
-}
-
-impl ShardCtl {
-    pub fn new(coord: Arc<ShardCoordinator>, shard: usize) -> Self {
-        Self { coord, shard }
-    }
-
-    pub fn heartbeat(&self, wave: u64, pending: u64) {
-        self.coord.heartbeat(self.shard, wave, pending);
-    }
-
-    pub fn drain(&self) -> Vec<Migrant> {
-        self.coord.drain(self.shard)
-    }
-
-    pub fn ack(&self, families: &[FamilyId]) {
-        self.coord.ack(self.shard, families);
-    }
-
-    pub fn take_steal(&self) -> Option<StealRequest> {
-        self.coord.take_steal(self.shard)
-    }
-
-    pub fn deliver(&self, to: usize, migrant: Migrant) {
-        self.coord.deliver(to, migrant);
-    }
-
-    pub fn idle_wait(&self) -> IdleVerdict {
-        self.coord.idle_wait(self.shard)
-    }
 }
 
 /// The wave loop's view of its shard coordinator, abstracted over
@@ -647,30 +638,30 @@ impl ShardLink for ShardCtl {
     }
 
     fn heartbeat(&self, wave: u64, pending: u64) -> Result<()> {
-        ShardCtl::heartbeat(self, wave, pending);
+        self.coord.heartbeat(self.shard, wave, pending);
         Ok(())
     }
 
     fn drain(&self) -> Result<Vec<Migrant>> {
-        Ok(ShardCtl::drain(self))
+        Ok(self.coord.drain(self.shard))
     }
 
     fn ack(&self, families: &[FamilyId]) -> Result<()> {
-        ShardCtl::ack(self, families);
+        self.coord.ack(self.shard, families);
         Ok(())
     }
 
     fn take_steal(&self) -> Result<Option<StealRequest>> {
-        Ok(ShardCtl::take_steal(self))
+        Ok(self.coord.take_steal(self.shard))
     }
 
     fn deliver(&self, to: usize, migrant: Migrant) -> Result<()> {
-        ShardCtl::deliver(self, to, migrant);
+        self.coord.deliver(to, migrant);
         Ok(())
     }
 
     fn idle_wait(&self) -> Result<IdleVerdict> {
-        Ok(ShardCtl::idle_wait(self))
+        Ok(self.coord.idle_wait(self.shard))
     }
 }
 
@@ -686,7 +677,7 @@ pub(crate) struct RootPlan {
     pub root: crate::service::RecoveryCtx,
     pub report: JobReport,
     pub plan: Vec<Family>,
-    /// The coordinator's last brokered placement per family, replayed
+    /// The supervisor's last brokered placement per family, replayed
     /// from the root WAL's `CustodyMoved` records.
     pub custody: HashMap<FamilyId, u64>,
 }
@@ -694,8 +685,9 @@ pub(crate) struct RootPlan {
 /// Opens (or replays) the root WAL and produces the family plan: a
 /// fresh run crawls and journals `CrawlCompleted` plus the plan before
 /// returning; a resumed run replays the journaled plan and skips the
-/// crawl. Shared by the in-process fan-out ([`run_sharded`]) and the
-/// cross-process coordinator ([`crate::transport::run_proc_sharded`]).
+/// crawl. Of the root WAL's replayed state only the plan, the crawl
+/// totals and the custody hints have a reader: the root journals no
+/// steps, charges or dead letters of its own.
 pub(crate) fn prepare_root(
     service: &XtractService,
     spec: &JobSpec,
@@ -703,37 +695,16 @@ pub(crate) fn prepare_root(
     started: Instant,
 ) -> Result<RootPlan> {
     let mut report = JobReport::default();
-    // Of the root WAL's replayed state only the plan, the crawl totals
-    // and the custody hints have a reader: the root journals no steps,
-    // charges or dead letters of its own.
     let (root, replayed) = service.open_recovery(spec, dir, Some("root"))?;
-    let t_crawl0 = started.elapsed().as_secs_f64();
-    let plan: Vec<Family> = if root.resumed && !replayed.planned.is_empty() {
-        let (crawled, groups, redundant) = replayed.crawl.unwrap_or((0, 0, 0));
-        report.crawled_files = crawled;
-        report.groups = groups;
-        report.redundant_files = redundant;
-        replayed.planned
-    } else {
-        let mut families = Vec::new();
-        service.crawl_and_plan(spec, &mut report, &mut families)?;
-        let mut batch = vec![RecoveryRecord::CrawlCompleted {
-            crawled_files: report.crawled_files,
-            groups: report.groups,
-            redundant_files: report.redundant_files,
-        }];
-        batch.extend(
-            families
-                .iter()
-                .map(|f| RecoveryRecord::FamilyPlanned { family: f.clone() }),
-        );
-        root.log.append_batch(&batch)?;
-        families
-    };
-    let t_crawl1 = started.elapsed().as_secs_f64();
-    report.phases.add(Phase::Crawl, t_crawl1 - t_crawl0);
-    report.phase_spans.push((Phase::Crawl, t_crawl0, t_crawl1));
-    report.families = plan.len() as u64;
+    let plan = service.replay_or_crawl_plan(
+        spec,
+        Some(&root),
+        replayed.planned,
+        replayed.crawl,
+        false,
+        started,
+        &mut report,
+    )?;
     report.resumed = root.resumed;
     report.replayed_records = root.replayed;
     report.truncated_records = root.truncated;
@@ -770,8 +741,347 @@ pub(crate) struct ShardLayout {
     pub subsets: Vec<Vec<Family>>,
 }
 
-/// Runs `spec` across `spec.shard.shards` wave loops. See the module
-/// docs for the protocol; the entry point is
+/// One shard runner's body, whichever way it was launched: opens the
+/// shard's WAL under `lease`, pins every commit to the lease's epoch, and
+/// runs the wave loop over whatever the WAL plans. The WAL is closed when
+/// this returns; the caller drops the lease next and only then reports,
+/// because the supervisor may take the WAL over the moment it hears.
+pub(crate) fn run_shard(
+    service: &XtractService,
+    token: Token,
+    sub_spec: &JobSpec,
+    sd: &Path,
+    lease: &LogDirLease,
+    tenant: Option<&Arc<TenantCtx>>,
+    link: &dyn ShardLink,
+) -> Result<JobReport> {
+    let label = format!("shard-{}", link.shard());
+    let (ctx, replayed) = service.open_recovery(sub_spec, sd, Some(&label))?;
+    ctx.log.set_fence(lease);
+    service.run_job_inner(token, sub_spec, Some(&ctx), replayed, tenant, Some(link))
+}
+
+/// How a shard's runner ended. A launcher owes the supervisor one per
+/// shard; a heartbeat-timeout verdict is a death like any other, and
+/// whichever exit of a shard arrives first is the one that counts.
+pub(crate) struct ShardExit {
+    pub shard: usize,
+    /// The runner's start on the supervisor's clock (a report's phase
+    /// spans are relative to it).
+    pub offset: f64,
+    /// Finished, with the drained wave loop's report — or died, with the
+    /// crash point of a scheduled kill or else the reason: a terminal
+    /// error, a severed connection, a silent heartbeat. Gone or to be
+    /// treated as gone.
+    pub outcome: std::result::Result<JobReport, String>,
+}
+
+impl ShardExit {
+    /// A runner's result as its exit.
+    pub fn of(shard: usize, offset: f64, result: Result<JobReport>) -> Self {
+        let outcome = result.map_err(|e| match e {
+            XtractError::OrchestratorKilled { point } => point,
+            other => other.to_string(),
+        });
+        Self {
+            shard,
+            offset,
+            outcome,
+        }
+    }
+}
+
+/// A sharded job as its supervisor sees it, after the root WAL pinned
+/// the plan and every shard WAL was seeded. The two launchers
+/// ([`run_sharded`]: scoped threads over a [`ShardCtl`];
+/// [`crate::transport::run_proc_sharded`]: worker processes over the
+/// coordinator socket) build one, start a runner per shard, and hand
+/// [`Self::supervise`] the runners' exits.
+pub(crate) struct ShardedJob<'a> {
+    pub service: &'a XtractService,
+    pub spec: &'a JobSpec,
+    /// The root WAL: fencing floors, brokered moves and the job's
+    /// completion are journaled here.
+    pub root: &'a RecoveryLog,
+    pub layout: &'a ShardLayout,
+    pub coordinator: Arc<ShardCoordinator>,
+}
+
+impl<'a> ShardedJob<'a> {
+    /// The job over a fresh coordinator; journals that each shard's
+    /// runner is about to start.
+    pub fn new(
+        service: &'a XtractService,
+        spec: &'a JobSpec,
+        root: &'a RecoveryLog,
+        layout: &'a ShardLayout,
+    ) -> Self {
+        for (k, subset) in layout.subsets.iter().enumerate() {
+            service.obs.journal.record(Event::ShardStarted {
+                shard: k as u64,
+                families: subset.len() as u64,
+            });
+            service.obs.hub.counter("shard.started").add(1);
+        }
+        let shards = layout.subsets.len();
+        Self {
+            service,
+            spec,
+            root,
+            layout,
+            coordinator: Arc::new(ShardCoordinator::new(
+                spec.shard,
+                service.obs.clone(),
+                shards,
+            )),
+        }
+    }
+
+    /// The decision loop of a sharded job, and the only place a shard's
+    /// exit is decided. Consumes one [`ShardExit`] per shard from
+    /// `next_exit` (called on this thread, so a launcher that decodes a
+    /// report there decodes one at a time), then either strands
+    /// ([`XtractError::ShardDied`] with the first death; every WAL
+    /// survives for a resume) or merges the shard reports into `report`
+    /// and journals `JobCompleted`.
+    ///
+    /// A runner that is gone leaves a WAL nobody writes and possibly
+    /// families nobody will run; both exits move those on the same way.
+    /// The WAL is fenced first — [`LogDirLease::preempt`] bumps its epoch
+    /// past whatever the runner held: a finished runner and a dead thread
+    /// released theirs, a zombie process finds its next commit refused —
+    /// and `fenced(shard, epoch, death)` tells the launcher, which may
+    /// guard a door with that floor. Every move is then an out-record in
+    /// the gone shard's WAL under the new epoch, and the floor plus one
+    /// [`RecoveryRecord::CustodyMoved`] per move go to the root WAL, so a
+    /// restarted supervisor resolves ownership from the same view. A run
+    /// in which every shard finishes with an empty inbox fences nothing
+    /// and journals nothing here but `JobCompleted`.
+    pub fn supervise(
+        &self,
+        report: &mut JobReport,
+        mut next_exit: impl FnMut() -> Result<ShardExit>,
+        fenced: impl Fn(usize, u64, Option<&str>),
+    ) -> Result<()> {
+        let shards = self.layout.shard_dirs.len();
+        let obs = &self.service.obs;
+        let mut reports: Vec<Option<(JobReport, f64)>> = (0..shards).map(|_| None).collect();
+        let mut orphan_letters: Vec<DeadLetter> = Vec::new();
+        let mut first_death: Option<(usize, String)> = None;
+        let mut stranded = false;
+        let fence = |k: usize, death: Option<&str>| -> Result<(LogDirLease, Vec<RecoveryRecord>)> {
+            let lease = LogDirLease::preempt(&self.layout.shard_dirs[k])?;
+            fenced(k, lease.epoch(), death);
+            obs.journal.record(Event::ShardFenced {
+                shard: k as u64,
+                epoch: lease.epoch(),
+            });
+            let floor = RecoveryRecord::ShardEpoch {
+                shard: k as u64,
+                epoch: lease.epoch(),
+            };
+            Ok((lease, vec![floor]))
+        };
+        let mut decide = || -> Result<()> {
+            let mut terminal = vec![false; shards];
+            while terminal.contains(&false) {
+                let ShardExit {
+                    shard: k,
+                    offset,
+                    outcome,
+                } = next_exit()?;
+                if std::mem::replace(&mut terminal[k], true) {
+                    continue;
+                }
+                match outcome {
+                    Ok(report) => {
+                        self.coordinator.mark_done(k);
+                        // A delivery can race a shard's finish: the wave
+                        // loop exited and will never drain it.
+                        let leftovers = self.coordinator.take_custody(k);
+                        if !leftovers.is_empty() {
+                            let (lease, mut moves) = fence(k, None)?;
+                            stranded |= self.redistribute(k, leftovers, &lease, &mut moves)?;
+                            self.root.append_batch(&moves)?;
+                        }
+                        reports[k] = Some((report, offset));
+                    }
+                    Err(point) => {
+                        obs.journal.record(Event::ShardDied {
+                            shard: k as u64,
+                            point: point.clone(),
+                        });
+                        obs.hub.counter("shard.deaths").add(1);
+                        // The slot stays `Running` until the orphans are
+                        // placed, so idle siblings cannot conclude
+                        // `Finished` while adoptions are still in flight.
+                        let (lease, mut moves) = fence(k, Some(&point))?;
+                        stranded |=
+                            self.adopt_orphans(k, &lease, &mut orphan_letters, &mut moves)?;
+                        self.root.append_batch(&moves)?;
+                        first_death.get_or_insert((k, point));
+                        self.coordinator.mark_dead(k);
+                    }
+                }
+            }
+            Ok(())
+        };
+        if let Err(e) = decide() {
+            // Runners still parked in `idle_wait` would hold the
+            // launcher's scope open forever: let them conclude.
+            for k in 0..shards {
+                let _ = self.coordinator.take_custody(k);
+                self.coordinator.mark_dead(k);
+            }
+            return Err(e);
+        }
+        if stranded {
+            // No survivor was live to adopt the orphans.
+            let (shard, point) = first_death.unwrap_or((0, "unknown".to_string()));
+            return Err(XtractError::ShardDied { shard, point });
+        }
+        merge_reports(report, reports, orphan_letters, &self.coordinator, shards);
+        self.root.append(&RecoveryRecord::JobCompleted)
+    }
+
+    /// Replays dead shard `from`'s WAL and moves every non-terminal
+    /// family to a surviving shard; terminal dead letters are collected
+    /// into the merged report directly (the dead runner never returned
+    /// one). Returns true when orphans were stranded because no survivor
+    /// was live.
+    fn adopt_orphans(
+        &self,
+        from: usize,
+        fence: &LogDirLease,
+        orphan_letters: &mut Vec<DeadLetter>,
+        root_moves: &mut Vec<RecoveryRecord>,
+    ) -> Result<bool> {
+        let (log, replay) = RecoveryLog::open(&self.layout.shard_dirs[from], self.spec.recovery)?;
+        log.set_fence(fence);
+        let Replayed {
+            planned,
+            mut steps,
+            charges,
+            dead,
+            departed,
+            ..
+        } = Replayed::fold(replay.into_effective());
+        let planned_ids: HashSet<FamilyId> = planned.iter().map(|f| f.id).collect();
+        let mut orphans = Vec::new();
+        for f in planned {
+            if let Some(letter) = dead.get(&f.id) {
+                orphan_letters.push(letter.clone());
+                continue;
+            }
+            let carried = steps.remove(&f.id).unwrap_or_default();
+            let spent = charges.get(&f.id).copied().unwrap_or(0);
+            orphans.push((f, carried, spent));
+        }
+        // Migrants delivered to the dead shard that it never journaled in
+        // (those it did are planned, and handled above).
+        for m in self.coordinator.take_custody(from) {
+            if !planned_ids.contains(&m.family.id) {
+                orphans.push((m.family, m.steps, m.charges));
+            }
+        }
+        // A hand-over whose out-record is durable but whose migrant never
+        // reached the coordinator (the donor died between journaling and
+        // delivering — a mid-batch I/O error surfacing as the death) would
+        // silently lose the family for this run. Re-route any departure of
+        // a family this shard owned at fan-out that no slot has a trace of.
+        let start_owned: HashSet<FamilyId> =
+            self.layout.subsets[from].iter().map(|f| f.id).collect();
+        for (id, orphan) in departed {
+            if start_owned.contains(&id) && !self.coordinator.knows_any(id) {
+                orphans.push(orphan);
+            }
+        }
+        self.rehome(from, &log, orphans, root_moves)
+    }
+
+    /// Re-routes custody leftovers of finished shard `from`, which can no
+    /// longer drain them.
+    fn redistribute(
+        &self,
+        from: usize,
+        items: Vec<Migrant>,
+        fence: &LogDirLease,
+        root_moves: &mut Vec<RecoveryRecord>,
+    ) -> Result<bool> {
+        let (log, _) = RecoveryLog::open(&self.layout.shard_dirs[from], self.spec.recovery)?;
+        log.set_fence(fence);
+        let items = items
+            .into_iter()
+            .map(|m| (m.family, m.steps, m.charges))
+            .collect();
+        self.rehome(from, &log, items, root_moves)
+    }
+
+    /// One hop out of gone shard `from` for each family, to the least
+    /// loaded live sibling: the out-record goes to `from`'s WAL (`log`,
+    /// already fenced) before the migrant is delivered, so it extends the
+    /// chain a later resume walks, and the matching
+    /// [`RecoveryRecord::CustodyMoved`] is pushed for the root WAL.
+    /// Returns true when no sibling was live to take them.
+    fn rehome(
+        &self,
+        from: usize,
+        log: &RecoveryLog,
+        items: Vec<(Family, Vec<MigratedStep>, u32)>,
+        root_moves: &mut Vec<RecoveryRecord>,
+    ) -> Result<bool> {
+        let mut stranded = false;
+        let mut out_records = Vec::new();
+        let mut migrants: Vec<(usize, Migrant)> = Vec::new();
+        let mut adopted_per_shard: HashMap<usize, u64> = HashMap::new();
+        for (family, steps, charges) in items {
+            let Some(to) = self.coordinator.least_loaded_live(from) else {
+                stranded = true;
+                continue;
+            };
+            root_moves.push(RecoveryRecord::CustodyMoved {
+                family: family.id,
+                from: from as u64,
+                to: to as u64,
+            });
+            out_records.push(RecoveryRecord::FamilyMigrated {
+                family: family.clone(),
+                from: from as u64,
+                to: to as u64,
+                adopted: false,
+                steps: steps.clone(),
+                charges,
+            });
+            migrants.push((
+                to,
+                Migrant {
+                    family,
+                    steps,
+                    charges,
+                    from: from as u64,
+                },
+            ));
+            *adopted_per_shard.entry(to).or_insert(0) += 1;
+        }
+        if !out_records.is_empty() {
+            log.append_batch(&out_records)?;
+        }
+        for (to, m) in migrants {
+            self.coordinator.deliver(to, m);
+        }
+        for (shard, families) in adopted_per_shard {
+            self.service.obs.journal.record(Event::ShardAdopted {
+                shard: shard as u64,
+                families,
+            });
+            self.service.obs.hub.counter("shard.adopted").add(families);
+        }
+        Ok(stranded)
+    }
+}
+
+/// Runs `spec` across `spec.shard.shards` wave loops on scoped threads.
+/// See the module docs for the protocol; the entry point is
 /// [`XtractService::run_job`] with a [`xtract_types::ShardPolicy`]
 /// enabled and a recovery-log dir supplied.
 pub(crate) fn run_sharded(
@@ -782,167 +1092,60 @@ pub(crate) fn run_sharded(
     tenant: Option<&Arc<TenantCtx>>,
 ) -> Result<JobReport> {
     let started = Instant::now();
-    let shards = spec.shard.shards;
-
     // Root WAL: crawl + plan, durable before any shard fans out.
     let RootPlan {
         root,
         mut report,
         plan,
-        ..
+        custody,
     } = prepare_root(service, spec, dir, started)?;
-    let ShardLayout {
-        shard_dirs,
-        subsets,
-    } = resolve_and_seed(service, spec, dir, &plan, None)?;
+    let layout = resolve_and_seed(service, spec, dir, &plan, &custody)?;
+    let job = ShardedJob::new(service, spec, &root.log, &layout);
 
-    // Fan out: one runner per shard, each with its own lease, its own
-    // replayed RecoveryCtx, and its shard's slice of the kill schedule.
-    let coordinator = Arc::new(ShardCoordinator::new(
-        spec.shard,
-        service.obs.clone(),
-        shards,
-    ));
-    let sub_specs: Vec<JobSpec> = (0..shards).map(|k| sub_spec_for(spec, k)).collect();
-
-    type ShardOutcome = (
-        usize,
-        f64,
-        std::result::Result<(JobReport, LogDirLease), XtractError>,
-    );
-    let mut shard_reports: Vec<Option<(JobReport, f64)>> = (0..shards).map(|_| None).collect();
-    let mut orphan_letters: Vec<DeadLetter> = Vec::new();
-    let mut first_death: Option<(usize, String)> = None;
-    let mut stranded = false;
-
-    std::thread::scope(|scope| -> Result<()> {
-        let (tx, rx) = mpsc::channel::<ShardOutcome>();
-        for k in 0..shards {
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<ShardExit>();
+        for (k, sd) in layout.shard_dirs.iter().enumerate() {
             let tx = tx.clone();
-            let ctl = ShardCtl::new(Arc::clone(&coordinator), k);
-            let sub_spec = &sub_specs[k];
-            let sd = &shard_dirs[k];
-            service.obs.journal.record(Event::ShardStarted {
-                shard: k as u64,
-                families: subsets[k].len() as u64,
-            });
-            service.obs.hub.counter("shard.started").add(1);
+            let link = ShardCtl {
+                coord: Arc::clone(&job.coordinator),
+                shard: k,
+            };
             scope.spawn(move || {
                 let offset = started.elapsed().as_secs_f64();
-                let label = format!("shard-{k}");
-                let result = (|| {
-                    let lease = LogDirLease::acquire(sd)?;
-                    let (ctx, replayed) = service.open_recovery(sub_spec, sd, Some(&label))?;
-                    ctx.log.set_fence(&lease);
-                    let rep = service.run_job_inner(
-                        token,
-                        sub_spec,
-                        Some(&ctx),
-                        replayed,
-                        tenant,
-                        Some(&ctl as &dyn ShardLink),
-                    )?;
-                    Ok((rep, lease))
-                })();
-                let _ = tx.send((k, offset, result));
+                // Its shard's slice of the kill schedule.
+                let sub_spec = sub_spec_for(spec, k);
+                // The lease drops with this closure's argument: before
+                // the exit is sent.
+                let result = LogDirLease::acquire(sd).and_then(|lease| {
+                    run_shard(service, token, &sub_spec, sd, &lease, tenant, &link)
+                });
+                let _ = tx.send(ShardExit::of(k, offset, result));
             });
         }
         drop(tx);
-
-        for _ in 0..shards {
-            let (k, offset, result) = rx.recv().map_err(|_| XtractError::Internal {
-                reason: "shard runner exited without reporting".to_string(),
-            })?;
-            match result {
-                Ok((rep, lease)) => {
-                    coordinator.mark_done(k);
-                    // A delivery can race a shard's finish: the runner
-                    // exited its wave loop and will never drain it.
-                    // Redistribute from parent custody.
-                    let leftovers = coordinator.take_custody(k);
-                    if !leftovers.is_empty() {
-                        stranded |= redistribute(
-                            &coordinator,
-                            service,
-                            spec,
-                            &shard_dirs[k],
-                            k,
-                            leftovers,
-                            None,
-                        )?;
-                    }
-                    shard_reports[k] = Some((rep, offset));
-                    drop(lease);
-                }
-                Err(e) => {
-                    let point = match &e {
-                        XtractError::OrchestratorKilled { point } => point.clone(),
-                        other => other.to_string(),
-                    };
-                    service.obs.journal.record(Event::ShardDied {
-                        shard: k as u64,
-                        point: point.clone(),
-                    });
-                    service.obs.hub.counter("shard.deaths").add(1);
-                    // The runner's lease lapsed with it; re-acquire the
-                    // shard's WAL (fencing any straggling writer) and
-                    // hand every orphan to a survivor. The slot stays
-                    // Running until the orphans are placed, so idle
-                    // siblings cannot conclude Finished while adoptions
-                    // are still in flight.
-                    let lease = LogDirLease::acquire(&shard_dirs[k])?;
-                    let start_owned: HashSet<FamilyId> = subsets[k].iter().map(|f| f.id).collect();
-                    stranded |= adopt_orphans(
-                        &coordinator,
-                        service,
-                        spec,
-                        &shard_dirs[k],
-                        k,
-                        &start_owned,
-                        &mut orphan_letters,
-                        Some(&lease),
-                        None,
-                    )?;
-                    if first_death.is_none() {
-                        first_death = Some((k, point));
-                    }
-                    coordinator.mark_dead(k);
-                }
-            }
-        }
-        Ok(())
+        job.supervise(
+            &mut report,
+            || {
+                rx.recv().map_err(|_| XtractError::Internal {
+                    reason: "shard runner exited without reporting".to_string(),
+                })
+            },
+            |_, _, _| {},
+        )
     })?;
-
-    if stranded {
-        // No survivor was live to adopt the orphans: surface the first
-        // death; every WAL survives for `resume_job`.
-        let (shard, point) = first_death.unwrap_or((0, "unknown".to_string()));
-        return Err(XtractError::ShardDied { shard, point });
-    }
-
-    merge_reports(
-        &mut report,
-        shard_reports,
-        orphan_letters,
-        &coordinator,
-        shards,
-    );
-    root.log.append(&RecoveryRecord::JobCompleted)?;
     Ok(report)
 }
 
 /// Resolves family ownership across the shard WALs and seeds or repairs
 /// each shard's WAL so every family of `plan` is planned in exactly
-/// one. `custody_hint` — a restarted coordinator's replayed view of the
-/// moves it brokered (root-WAL `CustodyMoved` records) — seeds the
-/// chain walk for families no WAL holds; `None` starts the walk at the
-/// base assignment.
+/// one. `custody` is the supervisor's replayed view of the moves it
+/// brokered (root-WAL `CustodyMoved` records; empty on a fresh run).
 pub(crate) fn resolve_and_seed(
     service: &XtractService,
     spec: &JobSpec,
     dir: &Path,
     plan: &[Family],
-    custody_hint: Option<&HashMap<FamilyId, u64>>,
+    custody: &HashMap<FamilyId, u64>,
 ) -> Result<ShardLayout> {
     let shards = spec.shard.shards;
     let fingerprint = spec_fingerprint(spec);
@@ -950,11 +1153,15 @@ pub(crate) fn resolve_and_seed(
     // WAL currently holds the family (its seed `FamilyPlanned` or a
     // durable migration in-record, minus later out-records) owns it.
     // Only a family *no* replay holds — a hand-over crashed between
-    // the donor's out-record and the recipient's in-record — falls
-    // back to walking the out-record chain from its base assignment
-    // (or from the coordinator's custody hint, when one replayed).
-    // The walk is consumption-ordered (each out-record moves the
-    // family once), so even A→B→A round trips resolve.
+    // the donor's out-record and the recipient's in-record — is found by
+    // walking the out-record chain, from the custody hint when it has
+    // one. The walk is consumption-ordered (each out-record moves the
+    // family once), so even A→B→A round trips resolve. A hinted shard
+    // that holds no out-record of the family died before it journaled
+    // anything about it: the steps the family carries are in an
+    // out-record further up, so the walk starts over from the base
+    // assignment, and only when that consumes no hop either is the
+    // hinted shard seeded with a bare plan.
     let ids: Vec<FamilyId> = plan.iter().map(|f| f.id).collect();
     let partitioner = build_partitioner(spec.shard.partitioner);
     let mut owner = partitioner.assign(&ids, shards);
@@ -1001,22 +1208,29 @@ pub(crate) fn resolve_and_seed(
             owner[i] = k;
             continue;
         }
-        let mut cur = custody_hint
-            .and_then(|hint| hint.get(id))
-            .map(|&s| (s as usize).min(shards - 1))
-            .unwrap_or(owner[i]);
-        while let Some(rec) = outs
-            .get_mut(cur)
-            .and_then(|m| m.get_mut(id))
-            .and_then(|q| q.pop_front())
-        {
-            let RecoveryRecord::FamilyMigrated { to, .. } = &rec else {
-                break;
-            };
-            cur = (*to as usize).min(shards - 1);
-            last_hop.insert(*id, rec);
+        // Where the chain from `start` ends, and its last out-record.
+        let mut walk = |start: usize| {
+            let (mut cur, mut hop) = (start, None);
+            while let Some(rec) = outs[cur].get_mut(id).and_then(|q| q.pop_front()) {
+                if let RecoveryRecord::FamilyMigrated { to, .. } = &rec {
+                    cur = (*to as usize).min(shards - 1);
+                }
+                hop = Some(rec);
+            }
+            (cur, hop)
+        };
+        let hinted = custody.get(id).map(|&s| (s as usize).min(shards - 1));
+        let (mut end, mut hop) = walk(hinted.unwrap_or(owner[i]));
+        if hop.is_none() && hinted.is_some() {
+            let from_base = walk(owner[i]);
+            if from_base.1.is_some() {
+                (end, hop) = from_base;
+            }
         }
-        owner[i] = cur;
+        owner[i] = end;
+        if let Some(hop) = hop {
+            last_hop.insert(*id, hop);
+        }
     }
 
     // Prepare each shard's WAL: seed a fresh one with the job identity
@@ -1072,7 +1286,7 @@ pub(crate) fn resolve_and_seed(
 /// exactly one shard's plan at any instant), summed scalar tallies, and
 /// phase spans unioned on the coordinator's clock so concurrent shard
 /// work is not double-counted against the wall.
-pub(crate) fn merge_reports(
+fn merge_reports(
     report: &mut JobReport,
     shard_reports: Vec<Option<(JobReport, f64)>>,
     orphan_letters: Vec<DeadLetter>,
@@ -1110,170 +1324,6 @@ pub(crate) fn merge_reports(
     report.shards = shards as u64;
     report.stolen_families = coordinator.stolen();
     report.shard_deaths = coordinator.deaths();
-}
-
-/// Replays a dead shard's WAL and migrates every non-terminal family
-/// to a surviving shard; terminal dead letters are collected into the
-/// merged report directly (the dead runner never returned one). Returns
-/// true when orphans were stranded because no survivor was live.
-///
-/// `fence` is the adopter's freshly-bumped lease over the dead shard's
-/// WAL: the out-records written here carry its fencing token, so a
-/// zombie writer that raced the adoption cannot interleave. When
-/// `root_moves` is supplied (the cross-process coordinator), one
-/// [`RecoveryRecord::CustodyMoved`] per migration is pushed for the
-/// caller to journal to the root WAL.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn adopt_orphans(
-    coordinator: &ShardCoordinator,
-    service: &XtractService,
-    spec: &JobSpec,
-    sd: &Path,
-    from: usize,
-    start_owned: &HashSet<FamilyId>,
-    orphan_letters: &mut Vec<DeadLetter>,
-    fence: Option<&LogDirLease>,
-    root_moves: Option<&mut Vec<RecoveryRecord>>,
-) -> Result<bool> {
-    let (log, replay) = RecoveryLog::open(sd, spec.recovery)?;
-    if let Some(lease) = fence {
-        log.set_fence(lease);
-    }
-    let Replayed {
-        planned,
-        mut steps,
-        charges,
-        dead,
-        departed,
-        ..
-    } = Replayed::fold(replay.into_effective());
-    let planned_ids: HashSet<FamilyId> = planned.iter().map(|f| f.id).collect();
-    let mut stranded = false;
-    let mut out_records = Vec::new();
-    let mut migrants: Vec<(usize, Migrant)> = Vec::new();
-    let mut adopted_per_shard: HashMap<usize, u64> = HashMap::new();
-    // One hop out of the dead shard: the out-record extends the chain
-    // through its WAL, so a later resume resolves ownership the same way.
-    let mut route = |family: Family, steps: Vec<MigratedStep>, charges: u32| {
-        let Some(to) = coordinator.least_loaded_live(from) else {
-            stranded = true;
-            return;
-        };
-        out_records.push(RecoveryRecord::FamilyMigrated {
-            family: family.clone(),
-            from: from as u64,
-            to: to as u64,
-            adopted: false,
-            steps: steps.clone(),
-            charges,
-        });
-        migrants.push((
-            to,
-            Migrant {
-                family,
-                steps,
-                charges,
-                from: from as u64,
-            },
-        ));
-        *adopted_per_shard.entry(to).or_insert(0) += 1;
-    };
-    for f in planned {
-        if let Some(letter) = dead.get(&f.id) {
-            orphan_letters.push(letter.clone());
-            continue;
-        }
-        let carried = steps.remove(&f.id).unwrap_or_default();
-        let spent = charges.get(&f.id).copied().unwrap_or(0);
-        route(f, carried, spent);
-    }
-    // Migrants delivered to the dead shard that it never journaled in.
-    for m in coordinator.take_custody(from) {
-        if planned_ids.contains(&m.family.id) {
-            continue; // the in-record made it; handled above
-        }
-        route(m.family, m.steps, m.charges);
-    }
-    // A hand-over whose out-record is durable but whose migrant never
-    // reached the coordinator (the donor died between journaling and
-    // delivering — a mid-batch I/O error surfacing as the death) would
-    // silently lose the family for this run. Re-route any departure of
-    // a family this shard owned at fan-out that no slot has a trace of.
-    for (id, (family, carried, spent)) in departed {
-        if start_owned.contains(&id) && !coordinator.knows_any(id) {
-            route(family, carried, spent);
-        }
-    }
-    if !out_records.is_empty() {
-        log.append_batch(&out_records)?;
-    }
-    if let Some(moves) = root_moves {
-        for r in &out_records {
-            if let RecoveryRecord::FamilyMigrated {
-                family, from, to, ..
-            } = r
-            {
-                moves.push(RecoveryRecord::CustodyMoved {
-                    family: family.id,
-                    from: *from,
-                    to: *to,
-                });
-            }
-        }
-    }
-    for (to, m) in migrants {
-        coordinator.deliver(to, m);
-    }
-    for (shard, families) in adopted_per_shard {
-        service.obs.journal.record(Event::ShardAdopted {
-            shard: shard as u64,
-            families,
-        });
-        service.obs.hub.counter("shard.adopted").add(families);
-    }
-    Ok(stranded)
-}
-
-/// Re-routes custody leftovers of a shard that can no longer drain
-/// them, journaling the chain hop through that shard's WAL (under the
-/// caller's fence, when one is held).
-pub(crate) fn redistribute(
-    coordinator: &ShardCoordinator,
-    service: &XtractService,
-    spec: &JobSpec,
-    sd: &Path,
-    from: usize,
-    items: Vec<Migrant>,
-    fence: Option<&LogDirLease>,
-) -> Result<bool> {
-    let (log, _) = RecoveryLog::open(sd, spec.recovery)?;
-    if let Some(lease) = fence {
-        log.set_fence(lease);
-    }
-    let mut stranded = false;
-    for m in items {
-        let Some(to) = coordinator.least_loaded_live(from) else {
-            stranded = true;
-            continue;
-        };
-        log.append(&RecoveryRecord::FamilyMigrated {
-            family: m.family.clone(),
-            from: from as u64,
-            to: to as u64,
-            adopted: false,
-            steps: m.steps.clone(),
-            charges: m.charges,
-        })?;
-        coordinator.deliver(
-            to,
-            Migrant {
-                from: from as u64,
-                ..m
-            },
-        );
-        service.obs.hub.counter("shard.adopted").add(1);
-    }
-    Ok(stranded)
 }
 
 #[cfg(test)]
@@ -1419,7 +1469,14 @@ mod tests {
         // Shard 2 drains and parks; its idle_wait scan should set a
         // steal directive on shard 1 (the heavier donor).
         let c2 = Arc::clone(&c);
-        let parked = std::thread::spawn(move || ShardCtl::new(c2, 2).idle_wait());
+        let parked = std::thread::spawn(move || {
+            ShardCtl {
+                coord: c2,
+                shard: 2,
+            }
+            .idle_wait()
+            .unwrap()
+        });
         let deadline = Instant::now() + Duration::from_secs(5);
         let steal = loop {
             if let Some(s) = c.steal_of(1) {
@@ -1465,7 +1522,7 @@ mod tests {
         let handles: Vec<_> = (0..2)
             .map(|k| {
                 let c = Arc::clone(&c);
-                std::thread::spawn(move || ShardCtl::new(c, k).idle_wait())
+                std::thread::spawn(move || ShardCtl { coord: c, shard: k }.idle_wait().unwrap())
             })
             .collect();
         for h in handles {
@@ -1545,14 +1602,11 @@ mod tests {
         assert_eq!(c.deaths(), 2);
     }
 
-    /// Regression: a dying shard's slot stays `Running` until its orphans
-    /// are placed, so it used to be its own least-loaded live target — the
-    /// last shard to die adopted its own orphans into an inbox nobody
-    /// drains, and the run returned `Ok` without them.
-    #[test]
-    fn the_last_live_shard_strands_its_orphans_instead_of_adopting_them() {
+    /// A scratch WAL root, a service and a two-shard spec to supervise:
+    /// nothing here runs a wave loop.
+    fn scratch_job(tag: &str) -> (PathBuf, XtractService, JobSpec) {
         let dir = std::env::temp_dir().join(format!(
-            "xtract-shard-strand-{}-{:?}",
+            "xtract-shard-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
@@ -1560,7 +1614,7 @@ mod tests {
         let fabric = Arc::new(xtract_datafabric::DataFabric::new());
         let auth = Arc::new(xtract_datafabric::AuthService::new());
         let service = XtractService::new(fabric, auth, 1);
-        let spec = JobSpec::single_endpoint(
+        let mut spec = JobSpec::single_endpoint(
             xtract_types::EndpointSpec {
                 endpoint: xtract_types::EndpointId::new(0),
                 read_path: "/data".into(),
@@ -1571,39 +1625,120 @@ mod tests {
             },
             "/data",
         );
+        spec.shard = xtract_types::ShardPolicy::sharded(2);
+        spec.shard.partitioner = PartitionerKind::Range;
+        (dir, service, spec)
+    }
+
+    /// Regression: a dying shard's slot stays `Running` until its orphans
+    /// are placed, so it used to be its own least-loaded live target — the
+    /// last shard to die adopted its own orphans into an inbox nobody
+    /// drains, and the run returned `Ok` without them.
+    #[test]
+    fn the_last_live_shard_strands_its_orphans_instead_of_adopting_them() {
+        let (dir, service, spec) = scratch_job("strand");
+        let (root, _) = RecoveryLog::open(&dir, spec.recovery).unwrap();
         let orphan = migrant(1, 0).family;
-        {
-            let (log, _) = RecoveryLog::open(&dir, spec.recovery).unwrap();
-            log.append(&RecoveryRecord::FamilyPlanned {
-                family: orphan.clone(),
-            })
-            .unwrap();
-        }
-        // Two shards; shard 1 already died, shard 0 — still `Running` —
-        // is dying now and holds one undelivered migrant besides its plan.
-        let c = test_coordinator(2, xtract_types::ShardPolicy::sharded(2));
+        let plan = std::slice::from_ref(&orphan);
+        let layout = resolve_and_seed(&service, &spec, &dir, plan, &HashMap::new()).unwrap();
+        assert_eq!(layout.subsets[0].len(), 1);
+        // Shard 1 already died; shard 0 — still `Running` — is dying now
+        // and holds one undelivered migrant besides its plan.
+        let job = ShardedJob::new(&service, &spec, &root, &layout);
+        let c = &job.coordinator;
         c.mark_dead(1);
         c.deliver(0, migrant(2, 1));
-        let stranded = adopt_orphans(
-            &c,
-            &service,
-            &spec,
-            &dir,
-            0,
-            &HashSet::from([orphan.id]),
-            &mut Vec::new(),
-            None,
-            None,
-        )
-        .unwrap();
+        let fence = LogDirLease::preempt(&layout.shard_dirs[0]).unwrap();
+        let mut moves = Vec::new();
+        let stranded = job
+            .adopt_orphans(0, &fence, &mut Vec::new(), &mut moves)
+            .unwrap();
         assert!(stranded, "no survivor is live: the orphans are stranded");
         assert!(
             c.take_custody(0).is_empty(),
             "nothing may be delivered to the dying shard"
         );
-        // Its WAL gained no hop to itself either.
-        let (_, replay) = RecoveryLog::open(&dir, spec.recovery).unwrap();
-        assert_eq!(replay.records.len(), 1);
+        // Neither its WAL nor the root's gained a hop to itself.
+        let replay = RecoveryLog::scan(&layout.shard_dirs[0]).unwrap();
+        assert_eq!(replay.records.len(), 2, "JobStarted and the seeded plan");
+        assert!(moves.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The decision loop on hand-fed exits, no runner behind them: shard
+    /// 0 dies, shard 1 takes its families in and finishes.
+    #[test]
+    fn supervise_fences_a_dead_shard_and_journals_every_move_to_the_root() {
+        let (dir, service, spec) = scratch_job("supervise");
+        let (root, _) = RecoveryLog::open(&dir, spec.recovery).unwrap();
+        let plan: Vec<Family> = (1..=6).map(|i| migrant(i, 0).family).collect();
+        let layout = resolve_and_seed(&service, &spec, &dir, &plan, &HashMap::new()).unwrap();
+        let orphans: Vec<FamilyId> = layout.subsets[0].iter().map(|f| f.id).collect();
+        assert_eq!(orphans.len(), 3);
+        // Shard 0's runner held its WAL at epoch 1 and is gone.
+        drop(LogDirLease::acquire(&layout.shard_dirs[0]).unwrap());
+        let job = ShardedJob::new(&service, &spec, &root, &layout);
+        let c = &job.coordinator;
+        let mut exits = vec![
+            ShardExit {
+                shard: 0,
+                offset: 0.0,
+                outcome: Err("pulled the plug".into()),
+            },
+            ShardExit::of(1, 0.0, Ok(JobReport::default())),
+        ]
+        .into_iter();
+        let mut inbox = Vec::new();
+        let fences = Mutex::new(Vec::new());
+        let mut report = JobReport::default();
+        job.supervise(
+            &mut report,
+            || {
+                let exit = exits.next().expect("one exit per shard is all it asks for");
+                if exit.outcome.is_ok() {
+                    // What shard 1's wave loop did before it finished:
+                    // drained the migrants and journaled them in.
+                    inbox = c.drain(1).iter().map(|m| m.family.id).collect();
+                    c.ack(1, &inbox);
+                }
+                Ok(exit)
+            },
+            |k, epoch, death| fences.lock().push((k, epoch, death.map(str::to_string))),
+        )
+        .unwrap();
+
+        assert_eq!(inbox, orphans, "shard 1's inbox held every orphan");
+        assert_eq!(
+            *fences.lock(),
+            vec![(0, 2, Some("pulled the plug".to_string()))],
+            "one fence, past the dead runner's epoch"
+        );
+        assert_eq!((report.shards, report.shard_deaths), (2, 1));
+        let outs: Vec<FamilyId> = RecoveryLog::scan(&layout.shard_dirs[0])
+            .unwrap()
+            .records
+            .iter()
+            .filter_map(|r| match r {
+                RecoveryRecord::FamilyMigrated {
+                    family,
+                    from: 0,
+                    to: 1,
+                    adopted: false,
+                    ..
+                } => Some(family.id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(outs, orphans, "one out-record per orphan in the dead WAL");
+        let mut expect_root = vec![RecoveryRecord::ShardEpoch { shard: 0, epoch: 2 }];
+        expect_root.extend(orphans.iter().map(|&family| RecoveryRecord::CustodyMoved {
+            family,
+            from: 0,
+            to: 1,
+        }));
+        expect_root.push(RecoveryRecord::JobCompleted);
+        assert_eq!(RecoveryLog::scan(&dir).unwrap().records, expect_root);
+        assert_eq!(service.obs.hub.counter_value("shard.deaths", None), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

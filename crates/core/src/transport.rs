@@ -1,8 +1,10 @@
 //! Cross-process shard workers: the coordinator wire protocol.
 //!
-//! [`crate::shard`] scales one job across N wave loops *in one
-//! process*; this module moves each wave loop into its own OS process.
-//! The coordinator (the process that ran the crawl and owns the root
+//! [`crate::shard`] scales one job across N wave loops and supervises
+//! them; its own launcher runs them *in one process*. This module is the
+//! other launcher: it moves each wave loop into its own OS process and
+//! hands the same supervisor ([`ShardedJob::supervise`]) the workers'
+//! exits. The coordinator (the process that ran the crawl and owns the root
 //! WAL) listens on a Unix domain socket inside the WAL directory
 //! (`wal/coord.sock`); each worker process runs `run_worker`, claims
 //! its shard's WAL under a fencing lease, and speaks the seven
@@ -13,8 +15,8 @@
 //! **Reports.** A worker that finishes sends `Finished` and then its
 //! [`JobReport`] in a frame of its own. The coordinator's connection
 //! handler checks that frame's CRC and hands the bytes, undecoded, to the
-//! decision loop, which decodes the reports one at a time on the thread
-//! that merges and returns them. The coordinator's peak memory is then
+//! supervisor's thread, which decodes the reports one at a time — it is
+//! the thread that merges and returns them. The coordinator's peak memory is then
 //! the reports it holds plus one decode's transient, whether the workers
 //! finish together or apart; a report that is whole on the wire and does
 //! not decode is handled as a worker that never reported.
@@ -37,15 +39,16 @@
 //! *running* slot dead once its last beat ages past
 //! `heartbeat_timeout_ms`. Idle workers are exempt — they park inside
 //! a blocking `IdleWait` RPC — and their death surfaces as the
-//! connection's EOF instead. Either way the coordinator fences the
-//! WAL, replays it, and migrates every non-terminal family to a
-//! survivor, exactly as the in-process path does on a thread death.
+//! connection's EOF instead. Either way the supervisor hears a
+//! [`ShardExit::Died`] and does what it does for a dead thread: fences
+//! the WAL, replays it, and migrates every non-terminal family to a
+//! survivor.
 //!
-//! **Coordinator crash recovery.** The coordinator journals its own
-//! custody view to the root WAL: a [`RecoveryRecord::ShardEpoch`] per
-//! admission and fencing (the floor the next worker's lease must
+//! **Coordinator crash recovery.** The coordinator's custody view is in
+//! the root WAL: a [`RecoveryRecord::ShardEpoch`] per admission (here)
+//! and fencing (the supervisor; the floor the next worker's lease must
 //! exceed) and a [`RecoveryRecord::CustodyMoved`] per brokered
-//! hand-over (the chain-walk hint for migrations that crashed between
+//! hand-over (the `Deliver` handler here, adoptions in the supervisor) (the chain-walk hint for migrations that crashed between
 //! the donor's out-record and the recipient's in-record). A restarted
 //! coordinator replays both, fences every shard WAL above any epoch a
 //! zombie might still hold, repairs half-finished hand-overs, and
@@ -53,7 +56,6 @@
 //! incarnation exit on their next RPC (socket EOF) or group commit
 //! (lease fenced), whichever fires first.
 
-use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -68,14 +70,14 @@ use xtract_datafabric::{AuthService, DataFabric, LocalFs, MemFs, Scope, Token};
 use xtract_obs::{Counter, Event, Obs};
 use xtract_types::config::ContainerRuntime;
 use xtract_types::{
-    DeadLetter, EndpointId, EndpointSpec, FamilyId, GroupingStrategy, JobSpec, Result, XtractError,
+    EndpointId, EndpointSpec, FamilyId, GroupingStrategy, JobSpec, Result, XtractError,
 };
 
-use crate::recovery::{crc32, LogDirLease, RecoveryLog, RecoveryRecord};
+use crate::recovery::{crc32, LogDirLease, RecoveryRecord};
 use crate::service::{JobReport, XtractService};
 use crate::shard::{
-    adopt_orphans, merge_reports, prepare_root, redistribute, resolve_and_seed, sub_spec_for,
-    IdleVerdict, Migrant, RootPlan, ShardCoordinator, ShardLayout, ShardLink, StealRequest,
+    prepare_root, resolve_and_seed, run_shard, sub_spec_for, IdleVerdict, Migrant, RootPlan,
+    ShardCoordinator, ShardExit, ShardLink, ShardedJob, StealRequest,
 };
 
 /// The coordinator's listening socket, rooted in the WAL directory so
@@ -553,44 +555,33 @@ pub fn run_worker(root: &Path, shard: usize) -> Result<()> {
     if let Some(plan) = &sub_spec.fault_plan {
         service.arm_faults(plan);
     }
-    let label = format!("shard-{shard}");
-    let (ctx, replayed) = service.open_recovery(&sub_spec, &sd, Some(&label))?;
-    ctx.log.set_fence(&lease);
     let mut client = ShardClient::start(
         shard,
         lease.epoch(),
         Arc::clone(&conn),
         world.spec.shard.heartbeat_ms,
     );
-    let result = service.run_job_inner(
-        token,
-        &sub_spec,
-        Some(&ctx),
-        replayed,
-        None,
-        Some(&client as &dyn ShardLink),
-    );
+    let result = run_shard(&service, token, &sub_spec, &sd, &lease, None, &client);
     client.shutdown();
+    // A scheduled chaos kill: the in-process launcher turns this error
+    // into the shard's exit; a real worker process dies for real, its
+    // lease still claiming this pid.
+    if let Err(XtractError::OrchestratorKilled { .. }) = result {
+        die_hard();
+    }
+    // Release the lease before announcing anything: the coordinator may
+    // immediately take the WAL over to redistribute custody leftovers the
+    // wave loop will never drain.
+    drop(lease);
+    let mut framed = conn.lock();
     match result {
         Ok(report) => {
-            // Release the WAL before announcing completion: the
-            // coordinator may immediately re-open it to redistribute
-            // custody leftovers the wave loop will never drain.
-            drop(ctx);
-            drop(lease);
-            let mut framed = conn.lock();
             framed.send(&WorkerMsg::Finished)?;
             framed.send(&report)?;
             let _ = framed.recv::<CoordMsg>();
             Ok(())
         }
-        // A scheduled chaos kill: the in-process path propagates this
-        // error to the fan-out; a real worker process dies for real.
-        Err(XtractError::OrchestratorKilled { .. }) => die_hard(),
         Err(e) => {
-            drop(ctx);
-            drop(lease);
-            let mut framed = conn.lock();
             let _ = framed.send(&WorkerMsg::Failed { error: e.clone() });
             let _ = framed.recv::<CoordMsg>();
             Err(e)
@@ -622,36 +613,30 @@ impl WorkerCmd {
     }
 }
 
-/// Coordinator-internal events, funneled from connection handlers and
-/// the heartbeat monitor into the single decision loop.
-enum Ev {
-    /// A worker's report frame, still encoded. The decision loop decodes
-    /// it: one report at a time however many workers finish together, and
-    /// on the thread that will merge and return the records, so a report's
-    /// allocations do not land in whichever allocator arena a short-lived
-    /// handler thread happened to be given (DESIGN.md, "Wire protocol").
-    Finished(usize, Vec<u8>),
-    Failed(usize, XtractError),
-    Lost(usize, String),
-}
+/// What the connection handlers and the heartbeat monitor funnel to the
+/// supervisor's thread, which turns each into a [`ShardExit`] there: a
+/// shard, its worker's admission time on the coordinator's clock, and the
+/// worker's report frame or why none will come. The frame is still
+/// encoded. The supervisor's thread decodes it: one report at a time
+/// however many workers finish together, and on the thread that will
+/// merge and return the records, so a report's allocations do not land in
+/// whichever allocator arena a short-lived handler thread happened to be
+/// given (DESIGN.md, "Wire protocol").
+type Ev = (usize, f64, Result<Vec<u8>>);
 
 /// Serves one worker connection: admission (epoch check against the
 /// fencing floor), then the RPC loop dispatching into the shared
 /// [`ShardCoordinator`]. Every message re-checks the shard's admitted
 /// epoch, so a worker fenced mid-run gets `Fenced` on its next verb
 /// instead of silently mutating coordinator state.
-#[allow(clippy::too_many_arguments)]
 fn serve_connection(
     stream: UnixStream,
-    shards: usize,
-    coordinator: &ShardCoordinator,
+    job: &ShardedJob,
     admissions: &Mutex<Vec<u64>>,
-    offsets: &Mutex<Vec<f64>>,
-    root_log: &RecoveryLog,
-    obs: &Obs,
     started: Instant,
     tx: &mpsc::Sender<Ev>,
 ) {
+    let (coordinator, root_log, obs) = (&job.coordinator, job.root, &job.service.obs);
     let mut framed = Framed::new(stream, obs);
     let Ok(first) = framed.recv::<WorkerMsg>() else {
         return;
@@ -660,7 +645,7 @@ fn serve_connection(
         let _ = framed.send(&CoordMsg::Fenced { epoch: 0 });
         return;
     };
-    if shard >= shards {
+    if shard >= job.layout.shard_dirs.len() {
         let _ = framed.send(&CoordMsg::Fenced { epoch: 0 });
         return;
     }
@@ -678,7 +663,7 @@ fn serve_connection(
         adm[shard] = epoch;
         epoch
     };
-    offsets.lock()[shard] = started.elapsed().as_secs_f64();
+    let offset = started.elapsed().as_secs_f64();
     // Journal the admitted epoch before welcoming: a coordinator that
     // dies right after this line still fences the next incarnation's
     // workers above this worker's epoch.
@@ -692,9 +677,10 @@ fn serve_connection(
         epoch: my_epoch,
     });
     if framed.send(&CoordMsg::Welcome { epoch: my_epoch }).is_err() {
-        let _ = tx.send(Ev::Lost(
+        let _ = tx.send((
             shard,
-            "connection severed during admission".into(),
+            offset,
+            Err(tfail("connection severed during admission")),
         ));
         return;
     }
@@ -748,14 +734,14 @@ fn serve_connection(
                 // A report that never arrives whole is a severed worker.
                 if let Ok(report) = framed.recv_raw() {
                     let _ = framed.send(&CoordMsg::Ok);
-                    let _ = tx.send(Ev::Finished(shard, report));
+                    let _ = tx.send((shard, offset, Ok(report)));
                     clean = true;
                 }
                 break;
             }
             WorkerMsg::Failed { error } => {
                 let _ = framed.send(&CoordMsg::Ok);
-                let _ = tx.send(Ev::Failed(shard, error));
+                let _ = tx.send((shard, offset, Err(error)));
                 clean = true;
                 break;
             }
@@ -766,17 +752,18 @@ fn serve_connection(
         }
     }
     if !clean {
-        let _ = tx.send(Ev::Lost(shard, "connection severed".into()));
+        let _ = tx.send((shard, offset, Err(tfail("connection severed"))));
     }
 }
 
 /// Runs `world.spec` across `shards` worker *processes*, each spawned
 /// via `worker` and owning `dir/shard-{k}` under a fencing lease. The
 /// coordinator process runs the crawl, seeds the shard WALs, brokers
-/// stealing and migration over `dir/coord.sock`, detects worker death
-/// (heartbeat timeout or socket EOF), fences and adopts dead shards'
-/// WALs, and journals admissions + hand-overs to the root WAL so a
-/// killed coordinator can itself be restarted against the same `dir`.
+/// stealing and migration over `dir/coord.sock`, turns worker death
+/// (heartbeat timeout or socket EOF) and worker reports into the exits
+/// [`ShardedJob::supervise`] decides on, and journals admissions +
+/// hand-overs to the root WAL so a killed coordinator can itself be
+/// restarted against the same `dir`.
 pub fn run_proc_sharded(
     service: &XtractService,
     // The coordinator never runs a wave loop itself; workers mint their
@@ -835,13 +822,7 @@ pub fn run_proc_sharded(
     }
     root.log.append_batch(&fence_batch)?;
 
-    // Ownership resolution + WAL seeding, with the replayed custody
-    // hints steering the chain walk for hand-overs that crashed
-    // between out-record and in-record.
-    let ShardLayout {
-        shard_dirs,
-        subsets,
-    } = resolve_and_seed(service, spec, dir, &plan, Some(&custody))?;
+    let layout = resolve_and_seed(service, spec, dir, &plan, &custody)?;
 
     world.store(&dir.join(PROC_JOB_FILE))?;
     let sock_path = dir.join(COORD_SOCK);
@@ -849,22 +830,12 @@ pub fn run_proc_sharded(
     let listener = UnixListener::bind(&sock_path)
         .map_err(|e| tfail(format!("bind {}: {e}", sock_path.display())))?;
 
-    let coordinator = Arc::new(ShardCoordinator::new(
-        spec.shard,
-        service.obs.clone(),
-        shards,
-    ));
+    let job = ShardedJob::new(service, spec, &root.log, &layout);
     let admissions: Mutex<Vec<u64>> = Mutex::new(floors);
-    let offsets: Mutex<Vec<f64>> = Mutex::new(vec![0.0; shards]);
     let stop = AtomicBool::new(false);
 
     let mut children: Vec<Child> = Vec::new();
-    for (k, subset) in subsets.iter().enumerate() {
-        service.obs.journal.record(Event::ShardStarted {
-            shard: k as u64,
-            families: subset.len() as u64,
-        });
-        service.obs.hub.counter("shard.started").add(1);
+    for k in 0..shards {
         let child = Command::new(&worker.program)
             .args(&worker.args)
             .arg("--root")
@@ -879,24 +850,13 @@ pub fn run_proc_sharded(
         children.push(child);
     }
 
-    let mut shard_reports: Vec<Option<(JobReport, f64)>> = (0..shards).map(|_| None).collect();
-    let mut orphan_letters: Vec<DeadLetter> = Vec::new();
-    let mut first_death: Option<(usize, String)> = None;
-    let mut stranded = false;
-
     let scope_result = std::thread::scope(|scope| -> Result<()> {
         let (tx, rx) = mpsc::channel::<Ev>();
 
         // Accept loop: one handler thread per connection.
         {
             let tx = tx.clone();
-            let listener = &listener;
-            let stop = &stop;
-            let coordinator = &coordinator;
-            let admissions = &admissions;
-            let offsets = &offsets;
-            let root_log = &root.log;
-            let obs = &service.obs;
+            let (listener, stop, job, admissions) = (&listener, &stop, &job, &admissions);
             scope.spawn(move || {
                 for stream in listener.incoming() {
                     if stop.load(Ordering::SeqCst) {
@@ -904,30 +864,18 @@ pub fn run_proc_sharded(
                     }
                     let Ok(stream) = stream else { break };
                     let tx = tx.clone();
-                    scope.spawn(move || {
-                        serve_connection(
-                            stream,
-                            shards,
-                            coordinator,
-                            admissions,
-                            offsets,
-                            root_log,
-                            obs,
-                            started,
-                            &tx,
-                        );
-                    });
+                    scope.spawn(move || serve_connection(stream, job, admissions, started, &tx));
                 }
             });
         }
 
         // Heartbeat monitor: running slots whose last beat aged past
-        // the budget surface as Lost. Already-reported slots are muted
-        // until the main loop marks them dead, so the monitor cannot
+        // the budget are reported lost. Already-reported slots are muted
+        // until the supervisor marks them dead, so the monitor cannot
         // busy-loop on a death still being processed.
         {
             let tx = tx.clone();
-            let coordinator = Arc::clone(&coordinator);
+            let coordinator = &job.coordinator;
             let budget = Duration::from_millis(spec.shard.heartbeat_timeout_ms);
             scope.spawn(move || {
                 let mut reported: Vec<usize> = Vec::new();
@@ -940,7 +888,7 @@ pub fn run_proc_sharded(
                         reported.push(k);
                         let reason =
                             format!("no heartbeat for {}ms while running", budget.as_millis());
-                        if tx.send(Ev::Lost(k, reason)).is_err() {
+                        if tx.send((k, 0.0, Err(tfail(reason)))).is_err() {
                             return;
                         }
                     }
@@ -949,119 +897,33 @@ pub fn run_proc_sharded(
         }
         drop(tx);
 
-        // The decision loop: one terminal event per shard.
-        let outcome: Result<()> = (|| {
-            let mut terminal = vec![false; shards];
-            let mut done = 0usize;
-            while done < shards {
-                let ev = rx.recv().map_err(|_| XtractError::Internal {
+        let outcome = job.supervise(
+            &mut report,
+            || {
+                let (k, offset, frame) = rx.recv().map_err(|_| XtractError::Internal {
                     reason: "coordinator event channel closed".into(),
                 })?;
-                let (k, point) = match ev {
-                    Ev::Finished(k, frame) => match decode::<JobReport>(&frame) {
-                        Ok(rep) => {
-                            if !terminal[k] {
-                                coordinator.mark_done(k);
-                                // A delivery can race the finish: the wave
-                                // loop exited and will never drain it.
-                                // Fence the WAL (the worker released its
-                                // lease before announcing) and re-route
-                                // from parent custody.
-                                let leftovers = coordinator.take_custody(k);
-                                if !leftovers.is_empty() {
-                                    let lease = LogDirLease::preempt(&shard_dirs[k])?;
-                                    admissions.lock()[k] = lease.epoch();
-                                    stranded |= redistribute(
-                                        &coordinator,
-                                        service,
-                                        spec,
-                                        &shard_dirs[k],
-                                        k,
-                                        leftovers,
-                                        Some(&lease),
-                                    )?;
-                                }
-                                let offset = offsets.lock()[k];
-                                shard_reports[k] = Some((rep, offset));
-                                terminal[k] = true;
-                                done += 1;
-                            }
-                            continue;
-                        }
-                        // Whole on the wire and still not a report: no
-                        // worker of this build sent it. The shard is
-                        // adopted like any other that did not report.
-                        Err(e) => (k, e.to_string()),
-                    },
-                    Ev::Failed(k, e) => {
-                        let point = match &e {
-                            XtractError::OrchestratorKilled { point } => point.clone(),
-                            other => other.to_string(),
-                        };
-                        (k, point)
-                    }
-                    Ev::Lost(k, reason) => (k, reason),
-                };
-                if terminal[k] {
-                    continue;
-                }
-                // A worker died (or stopped answering): fence its WAL
-                // above its lease epoch — any straggling zombie write
-                // is now rejected at the commit boundary — journal the
-                // new floor, adopt every non-terminal family into a
-                // survivor, and journal the brokered placements.
-                service.obs.journal.record(Event::WorkerLost {
-                    shard: k as u64,
-                    reason: point.clone(),
-                });
-                service.obs.journal.record(Event::ShardDied {
-                    shard: k as u64,
-                    point: point.clone(),
-                });
-                service.obs.hub.counter("shard.deaths").add(1);
-                service.obs.hub.counter("transport.worker_deaths").add(1);
-                let lease = LogDirLease::preempt(&shard_dirs[k])?;
-                admissions.lock()[k] = lease.epoch();
-                service.obs.journal.record(Event::ShardFenced {
-                    shard: k as u64,
-                    epoch: lease.epoch(),
-                });
+                // A frame that is whole on the wire and still not a report
+                // was sent by no worker of this build: the shard is adopted
+                // like any other that did not report.
+                Ok(ShardExit::of(k, offset, frame.and_then(|f| decode(&f))))
+            },
+            // The supervisor fenced shard `k`'s WAL: the door's floor
+            // follows, so the fenced incarnation gets `Fenced` on its next
+            // verb and a zombie re-presenting its epoch is refused.
+            |k, epoch, death| {
+                admissions.lock()[k] = epoch;
                 service.obs.hub.counter("transport.fenced").add(1);
-                let mut moves: Vec<RecoveryRecord> = vec![RecoveryRecord::ShardEpoch {
-                    shard: k as u64,
-                    epoch: lease.epoch(),
-                }];
-                let start_owned: HashSet<FamilyId> = subsets[k].iter().map(|f| f.id).collect();
-                stranded |= adopt_orphans(
-                    &coordinator,
-                    service,
-                    spec,
-                    &shard_dirs[k],
-                    k,
-                    &start_owned,
-                    &mut orphan_letters,
-                    Some(&lease),
-                    Some(&mut moves),
-                )?;
-                root.log.append_batch(&moves)?;
-                if first_death.is_none() {
-                    first_death = Some((k, point));
+                if let Some(reason) = death {
+                    service.obs.journal.record(Event::WorkerLost {
+                        shard: k as u64,
+                        reason: reason.to_string(),
+                    });
+                    service.obs.hub.counter("transport.worker_deaths").add(1);
                 }
-                coordinator.mark_dead(k);
-                terminal[k] = true;
-                done += 1;
-            }
-            Ok(())
-        })();
+            },
+        );
 
-        if outcome.is_err() {
-            // Unwedge handlers parked in idle_wait on behalf of
-            // still-connected workers before the scope joins.
-            for k in 0..shards {
-                let _ = coordinator.take_custody(k);
-                coordinator.mark_dead(k);
-            }
-        }
         // Shut the door: wake the accept loop, then kill any worker
         // still attached so its handler sees EOF. On the success path
         // every worker has already finished (and released its lease)
@@ -1079,22 +941,6 @@ pub fn run_proc_sharded(
     }
     let _ = std::fs::remove_file(&sock_path);
     scope_result?;
-
-    if stranded {
-        // No survivor was live to adopt the orphans: surface the first
-        // death; every WAL survives for a coordinator restart.
-        let (shard, point) = first_death.unwrap_or((0, "unknown".to_string()));
-        return Err(XtractError::ShardDied { shard, point });
-    }
-
-    merge_reports(
-        &mut report,
-        shard_reports,
-        orphan_letters,
-        &coordinator,
-        shards,
-    );
-    root.log.append(&RecoveryRecord::JobCompleted)?;
     Ok(report)
 }
 

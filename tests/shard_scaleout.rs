@@ -545,6 +545,10 @@ fn out_record_without_in_record_repairs_to_exactly_one_owner() {
             _ => None,
         })
         .collect();
+    assert!(
+        !steps.is_empty(),
+        "the donor finished a step before it died"
+    );
     {
         let (log, _) = RecoveryLog::open(&sd0, chaos_spec.recovery).unwrap();
         log.append(&RecoveryRecord::FamilyMigrated {
@@ -552,8 +556,19 @@ fn out_record_without_in_record_repairs_to_exactly_one_owner() {
             from: donor as u64,
             to: recipient as u64,
             adopted: false,
-            steps,
+            steps: steps.clone(),
             charges: spent,
+        })
+        .unwrap();
+        // The supervisor brokered that move and journaled it before it
+        // died too. The hinted recipient holds neither record of the
+        // family, so the hint alone would seed a bare plan there and the
+        // step the out-record carries would run a second time.
+        let (root, _) = RecoveryLog::open(&chaos_dir, chaos_spec.recovery).unwrap();
+        root.append(&RecoveryRecord::CustodyMoved {
+            family: victim_id,
+            from: donor as u64,
+            to: recipient as u64,
         })
         .unwrap();
     }
@@ -580,11 +595,15 @@ fn out_record_without_in_record_repairs_to_exactly_one_owner() {
     for (k, log) in shard_logs.iter().enumerate() {
         for r in log.effective() {
             if let RecoveryRecord::FamilyMigrated {
-                family, adopted, ..
+                family,
+                adopted,
+                steps: carried,
+                ..
             } = r
             {
                 if family.id == victim_id {
                     if *adopted {
+                        assert_eq!(carried, &steps, "the in-record carries the donor's steps");
                         ins_by_shard[k] += 1;
                     } else {
                         outs += 1;
