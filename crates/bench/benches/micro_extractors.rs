@@ -48,7 +48,7 @@ fn bench_extractors(c: &mut Criterion) {
     });
     // Only the keyword extractor's "is this prose really a table?" probe.
     group.bench_function("keyword_probe_prose_20k", |b| {
-        b.iter(|| black_box(table::parse(black_box(&prose)).is_err()))
+        b.iter(|| black_box(table::summarize(black_box(&prose)).is_err()))
     });
 
     let csv = xtract_workloads::materialize::csv(&mut r, 5_000);

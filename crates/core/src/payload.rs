@@ -41,6 +41,26 @@ pub struct FamilyResult {
     pub error: Option<String>,
 }
 
+impl FamilyResult {
+    /// The wire form by value. `to_value(&result)` serializes by reference,
+    /// which deep-copies the metadata tree; here the map the function body
+    /// has just built moves into the object as it is.
+    fn into_value(self) -> serde_json::Value {
+        let mut object = serde_json::Map::new();
+        object.insert("family".to_string(), serde_json::json!(self.family));
+        object.insert(
+            "metadata".to_string(),
+            serde_json::Value::Object(self.metadata.0),
+        );
+        object.insert(
+            "discoveries".to_string(),
+            serde_json::json!(self.discoveries),
+        );
+        object.insert("error".to_string(), serde_json::json!(self.error));
+        serde_json::Value::Object(object)
+    }
+}
+
 /// Encodes a batch for submission: [`BatchPayload`]'s wire form, serialized
 /// from a borrowed view of the batch — the family list is read in place,
 /// not copied into a `BatchPayload` first.
@@ -130,7 +150,7 @@ pub fn make_function_body(extractor: Arc<dyn Extractor>, fabric: Arc<DataFabric>
                     error: Some(e.to_string()),
                 },
             };
-            results.push(result);
+            results.push(result.into_value());
             if payload.delete_files {
                 if let Some(base) = &family.base_path {
                     if let Ok(ep) = fabric.get(family.source) {
@@ -139,7 +159,7 @@ pub fn make_function_body(extractor: Arc<dyn Extractor>, fabric: Arc<DataFabric>
                 }
             }
         }
-        Ok(serde_json::to_value(results).expect("results serialize"))
+        Ok(serde_json::Value::Array(results))
     })
 }
 
@@ -200,6 +220,36 @@ mod tests {
             .unwrap();
             assert_eq!(encode_batch(&batch, delete_files), owned);
         }
+    }
+
+    #[test]
+    fn moved_result_is_the_result_structs_wire_form() {
+        let mut metadata = Metadata::new();
+        metadata.insert(
+            "tabular",
+            serde_json::json!({"tables": 1, "files": {"/d/t.csv": {"rows": 2, "mean": 0.5, "header": ["a", "b"]}}}),
+        );
+        let results = vec![
+            FamilyResult {
+                family: FamilyId::new(9),
+                metadata,
+                discoveries: vec![
+                    ("/d/x.txt".to_string(), FileType::Tabular),
+                    ("/d/y.csv".to_string(), FileType::FreeText),
+                ],
+                error: None,
+            },
+            FamilyResult {
+                family: FamilyId::new(u64::MAX),
+                metadata: Metadata::new(),
+                discoveries: Vec::new(),
+                error: Some("no such path: /gone.txt".to_string()),
+            },
+        ];
+        let by_reference = serde_json::to_value(&results).unwrap();
+        let moved: Vec<_> = results.into_iter().map(FamilyResult::into_value).collect();
+        assert_eq!(serde_json::Value::Array(moved), by_reference);
+        assert_eq!(decode_results(&by_reference).unwrap().len(), 2);
     }
 
     #[test]

@@ -156,6 +156,15 @@ impl Drop for LinkPermit<'_> {
     }
 }
 
+/// The four `transfer.*` counters a submit updates, interned once so that
+/// a submit adds through handles instead of looking four names up.
+struct TransferCounters {
+    submits: xtract_obs::Counter,
+    files_moved: xtract_obs::Counter,
+    bytes_moved: xtract_obs::Counter,
+    file_failures: xtract_obs::Counter,
+}
+
 /// The transfer service.
 pub struct TransferService {
     fabric: Arc<DataFabric>,
@@ -165,7 +174,7 @@ pub struct TransferService {
     pair_stats: RwLock<HashMap<(EndpointId, EndpointId), PairStats>>,
     fetches: RwLock<HashMap<FetchKind, u64>>,
     fault: RwLock<Option<FaultPlan>>,
-    obs: Option<xtract_obs::Obs>,
+    obs: Option<(xtract_obs::Obs, TransferCounters)>,
     /// Monotonic submit counter — the operation index blackout windows
     /// are expressed in.
     submit_ops: AtomicU64,
@@ -195,7 +204,13 @@ impl TransferService {
     /// pair.
     pub fn with_obs(fabric: Arc<DataFabric>, auth: Arc<AuthService>, obs: xtract_obs::Obs) -> Self {
         let mut svc = Self::new(fabric, auth);
-        svc.obs = Some(obs);
+        let counters = TransferCounters {
+            submits: obs.hub.counter("transfer.submits"),
+            files_moved: obs.hub.counter("transfer.files_moved"),
+            bytes_moved: obs.hub.counter("transfer.bytes_moved"),
+            file_failures: obs.hub.counter("transfer.file_failures"),
+        };
+        svc.obs = Some((obs, counters));
         svc
     }
 
@@ -256,7 +271,7 @@ impl TransferService {
         // Drop releases it on every path out, error or success.
         let link = (request.source, request.destination);
         self.gate.acquire(link);
-        let gauge = self.obs.as_ref().map(|obs| {
+        let gauge = self.obs.as_ref().map(|(obs, _)| {
             let g = obs.hub.gauge("transfer.in_flight");
             g.inc();
             g
@@ -280,7 +295,7 @@ impl TransferService {
         }
 
         let id = TransferId::new(self.ids.next());
-        if let Some(obs) = &self.obs {
+        if let Some((obs, _)) = &self.obs {
             obs.journal.record(xtract_obs::Event::TransferStarted {
                 transfer: id,
                 source: request.source,
@@ -353,17 +368,11 @@ impl TransferService {
         entry.bytes += receipt.bytes_moved;
         drop(stats);
 
-        if let Some(obs) = &self.obs {
-            obs.hub.counter("transfer.submits").incr();
-            obs.hub
-                .counter("transfer.files_moved")
-                .add(receipt.files_moved as u64);
-            obs.hub
-                .counter("transfer.bytes_moved")
-                .add(receipt.bytes_moved);
-            obs.hub
-                .counter("transfer.file_failures")
-                .add(receipt.failed.len() as u64);
+        if let Some((obs, counters)) = &self.obs {
+            counters.submits.incr();
+            counters.files_moved.add(receipt.files_moved as u64);
+            counters.bytes_moved.add(receipt.bytes_moved);
+            counters.file_failures.add(receipt.failed.len() as u64);
             obs.journal.record(xtract_obs::Event::TransferFinished {
                 transfer: id,
                 files_moved: receipt.files_moved as u64,

@@ -15,17 +15,19 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use xtract_types::XtractError;
 
-/// A decoded RGB image.
+/// An RGB image: owned when synthesized, borrowed from the file's bytes
+/// when decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Image {
+pub struct Image<'a> {
     /// Width in pixels.
     pub width: u32,
     /// Height in pixels.
     pub height: u32,
     /// Row-major RGB triplets, `width * height * 3` bytes.
-    pub pixels: Vec<u8>,
+    pub pixels: Cow<'a, [u8]>,
 }
 
 /// The five ImageSort classes (§5.2: "classifies images as one of five
@@ -66,7 +68,7 @@ impl ImageClass {
     }
 }
 
-impl Image {
+impl<'a> Image<'a> {
     /// A solid-color image.
     pub fn filled(width: u32, height: u32, rgb: [u8; 3]) -> Self {
         let mut pixels = Vec::with_capacity((width * height * 3) as usize);
@@ -76,7 +78,7 @@ impl Image {
         Self {
             width,
             height,
-            pixels,
+            pixels: Cow::Owned(pixels),
         }
     }
 
@@ -91,7 +93,7 @@ impl Image {
     #[inline]
     pub fn set(&mut self, x: u32, y: u32, rgb: [u8; 3]) {
         let i = ((y * self.width + x) * 3) as usize;
-        self.pixels[i..i + 3].copy_from_slice(&rgb);
+        self.pixels.to_mut()[i..i + 3].copy_from_slice(&rgb);
     }
 
     /// Encodes to the XIMG wire format.
@@ -104,8 +106,9 @@ impl Image {
         buf.freeze()
     }
 
-    /// Decodes from the XIMG wire format.
-    pub fn decode(bytes: &[u8]) -> Result<Self, XtractError> {
+    /// Decodes from the XIMG wire format: checks the header against the
+    /// length and lends the pixel bytes, copying nothing.
+    pub fn decode(bytes: &'a [u8]) -> Result<Self, XtractError> {
         let fail = |reason: &str| XtractError::ExtractorFailed {
             extractor: "ximg-codec".to_string(),
             path: String::new(),
@@ -127,7 +130,7 @@ impl Image {
         Ok(Self {
             width,
             height,
-            pixels: body.to_vec(),
+            pixels: Cow::Borrowed(body),
         })
     }
 }
@@ -148,48 +151,55 @@ pub struct ImageFeatures {
     /// Darkness coverage along the left column and bottom row bands —
     /// the axis signature of a plot.
     pub axis_score: f64,
+    /// Mean `(x, y)` of the green-dominant ("land") pixels, in pixels;
+    /// `None` when there are none. The map stage's location tags.
+    pub land_centroid: Option<(f64, f64)>,
 }
 
-fn luminance(p: [u8; 3]) -> f64 {
-    0.299 * p[0] as f64 + 0.587 * p[1] as f64 + 0.114 * p[2] as f64
-}
-
-/// Computes classifier features for an image.
-pub fn features(img: &Image) -> ImageFeatures {
+/// Computes every feature in one row-wise walk over the pixels: each
+/// pixel's luminance is computed once and serves the edge to its left and
+/// both axis bands. Counts and integer sums are kept in `u64`, which holds
+/// them exactly as the `f64` accumulators they replace did (below 2^53 for
+/// any image that fits in memory), so every ratio is the same bit pattern.
+pub fn features(img: &Image<'_>) -> ImageFeatures {
+    let (w, h) = (img.width as usize, img.height as usize);
     let n = (img.width * img.height) as f64;
-    let mut white = 0u64;
-    let mut sat_sum = 0.0f64;
-    let mut geo = 0u64;
+    // Axis bands: the `band` leftmost columns and the `band` bottom rows.
+    let band = (w.min(h) / 16).max(1);
+    let (left, bottom) = (band.min(w), h.saturating_sub(band));
+    let (mut white, mut sat, mut geo, mut edges) = (0u64, 0u64, 0u64, 0u64);
+    let (mut left_dark, mut bottom_dark) = (0u64, 0u64);
+    let (mut land, mut land_x, mut land_y) = (0u64, 0u64, 0u64);
     let mut hist = [0u32; 4096]; // 4 bits per channel
-    for y in 0..img.height {
-        for x in 0..img.width {
-            let p = img.get(x, y);
-            let (max, min) = (
-                p.iter().copied().max().expect("rgb") as f64,
-                p.iter().copied().min().expect("rgb") as f64,
-            );
-            if min > 225.0 {
-                white += 1;
+    for (y, row) in img.pixels.chunks_exact((w * 3).max(1)).enumerate() {
+        let (mut row_dark, mut row_land) = (0u64, 0u64);
+        let mut prev = 0.0f64;
+        for (x, p) in row.chunks_exact(3).enumerate() {
+            let (r, g, b) = (p[0], p[1], p[2]);
+            let (max, min) = (r.max(g).max(b), r.min(g).min(b));
+            white += u64::from(min > 225);
+            sat += u64::from(max - min);
+            let (ri, gi, bi) = (r as i32, g as i32, b as i32);
+            geo += u64::from((gi > ri + 15 && g > 70) || (bi > ri + 15 && b > 70 && b >= g));
+            hist[((r as usize >> 4) << 8) | ((g as usize >> 4) << 4) | (b as usize >> 4)] += 1;
+            let lum = 0.299 * r as f64 + 0.587 * g as f64 + 0.114 * b as f64;
+            edges += u64::from(x > 0 && (lum - prev).abs() > 40.0);
+            prev = lum;
+            let dark = u64::from(lum < 96.0);
+            row_dark += dark;
+            if x < left {
+                left_dark += dark;
             }
-            sat_sum += max - min;
-            let (r, g, b) = (p[0] as i32, p[1] as i32, p[2] as i32);
-            if (g > r + 15 && g > 70) || (b > r + 15 && b > 70 && b >= g) {
-                geo += 1;
-            }
-            let key =
-                ((p[0] as usize >> 4) << 8) | ((p[1] as usize >> 4) << 4) | (p[2] as usize >> 4);
-            hist[key] += 1;
-        }
-    }
-    let mut edges = 0u64;
-    let mut pairs = 0u64;
-    for y in 0..img.height {
-        for x in 1..img.width {
-            pairs += 1;
-            if (luminance(img.get(x, y)) - luminance(img.get(x - 1, y))).abs() > 40.0 {
-                edges += 1;
+            if g > r && g > b {
+                row_land += 1;
+                land_x += x as u64;
             }
         }
+        if y >= bottom {
+            bottom_dark += row_dark;
+        }
+        land += row_land;
+        land_y += row_land * y as u64;
     }
     let entropy = hist
         .iter()
@@ -199,58 +209,72 @@ pub fn features(img: &Image) -> ImageFeatures {
             -p * p.log2()
         })
         .sum::<f64>();
-    // Axis signature: dark pixels concentrated in the left column band and
-    // the bottom row band.
-    let band = (img.width.min(img.height) / 16).max(1);
-    let mut left_dark = 0u64;
-    let mut left_tot = 0u64;
-    for y in 0..img.height {
-        for x in 0..band.min(img.width) {
-            left_tot += 1;
-            if luminance(img.get(x, y)) < 96.0 {
-                left_dark += 1;
-            }
-        }
-    }
-    let mut bottom_dark = 0u64;
-    let mut bottom_tot = 0u64;
-    for y in img.height.saturating_sub(band)..img.height {
-        for x in 0..img.width {
-            bottom_tot += 1;
-            if luminance(img.get(x, y)) < 96.0 {
-                bottom_dark += 1;
-            }
-        }
-    }
+    let pairs = (h * w.saturating_sub(1)) as u64;
+    let (left_tot, bottom_tot) = ((h * left) as u64, ((h - bottom) * w) as u64);
     let axis_score = (left_dark as f64 / left_tot.max(1) as f64)
         .min(bottom_dark as f64 / bottom_tot.max(1) as f64);
 
     ImageFeatures {
         white_frac: white as f64 / n,
-        saturation: sat_sum / n,
+        saturation: sat as f64 / n,
         geo_frac: geo as f64 / n,
         edge_density: edges as f64 / pairs.max(1) as f64,
         color_entropy: entropy,
         axis_score,
+        land_centroid: (land > 0)
+            .then(|| (land_x as f64 / land as f64, land_y as f64 / land as f64)),
     }
 }
 
-/// The fixed decision function standing in for the paper's trained SVM.
-pub fn classify(img: &Image) -> ImageClass {
-    let f = features(img);
-    if f.axis_score > 0.35 && f.white_frac > 0.4 {
-        ImageClass::Plot
-    } else if f.geo_frac > 0.9 && f.color_entropy < 5.0 {
-        // Maps use a flat land/water palette; photographs of vegetation
-        // share the hues but not the low histogram entropy.
-        ImageClass::GeographicMap
-    } else if f.white_frac > 0.55 {
-        ImageClass::Diagram
-    } else if f.color_entropy > 4.0 && f.saturation > 25.0 {
-        ImageClass::Photograph
-    } else {
-        ImageClass::Other
+impl ImageFeatures {
+    /// The fixed decision function standing in for the paper's trained SVM.
+    pub fn class(&self) -> ImageClass {
+        if self.axis_score > 0.35 && self.white_frac > 0.4 {
+            ImageClass::Plot
+        } else if self.geo_frac > 0.9 && self.color_entropy < 5.0 {
+            // Maps use a flat land/water palette; photographs of vegetation
+            // share the hues but not the low histogram entropy.
+            ImageClass::GeographicMap
+        } else if self.white_frac > 0.55 {
+            ImageClass::Diagram
+        } else if self.color_entropy > 4.0 && self.saturation > 25.0 {
+            ImageClass::Photograph
+        } else {
+            ImageClass::Other
+        }
     }
+
+    /// Dominant-color object labels for the ImageNet stand-in extractor.
+    pub fn dominant_labels(&self) -> Vec<&'static str> {
+        let mut labels = Vec::new();
+        if self.geo_frac > 0.3 {
+            labels.push("vegetation");
+            labels.push("water");
+        }
+        if self.saturation > 60.0 {
+            labels.push("colorful-object");
+        }
+        if self.color_entropy > 7.0 {
+            labels.push("textured-scene");
+        } else if self.white_frac < 0.2 {
+            labels.push("uniform-field");
+        }
+        if labels.is_empty() {
+            labels.push("unidentified");
+        }
+        labels
+    }
+}
+
+/// The class of an image: [`ImageFeatures::class`] of its features.
+pub fn classify(img: &Image<'_>) -> ImageClass {
+    features(img).class()
+}
+
+/// The labels of an image: [`ImageFeatures::dominant_labels`] of its
+/// features.
+pub fn dominant_labels(img: &Image<'_>) -> Vec<&'static str> {
+    features(img).dominant_labels()
 }
 
 // ---------------------------------------------------------------------------
@@ -258,7 +282,12 @@ pub fn classify(img: &Image) -> ImageClass {
 // ---------------------------------------------------------------------------
 
 /// Synthesizes an image of the requested class.
-pub fn generate<R: Rng + ?Sized>(class: ImageClass, width: u32, height: u32, rng: &mut R) -> Image {
+pub fn generate<R: Rng + ?Sized>(
+    class: ImageClass,
+    width: u32,
+    height: u32,
+    rng: &mut R,
+) -> Image<'static> {
     match class {
         ImageClass::Photograph => gen_photograph(width, height, rng),
         ImageClass::Diagram => gen_diagram(width, height, rng),
@@ -268,7 +297,7 @@ pub fn generate<R: Rng + ?Sized>(class: ImageClass, width: u32, height: u32, rng
     }
 }
 
-fn gen_photograph<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image {
+fn gen_photograph<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image<'static> {
     // Colored low-frequency blobs plus per-pixel noise: high entropy and
     // saturation, no white background.
     let mut img = Image::filled(w, h, [0, 0, 0]);
@@ -304,7 +333,7 @@ fn gen_photograph<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image {
     img
 }
 
-fn gen_diagram<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image {
+fn gen_diagram<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image<'static> {
     // White canvas, a handful of black boxes and connector lines.
     let mut img = Image::filled(w, h, [250, 250, 250]);
     let boxes = rng.gen_range(3..7);
@@ -334,7 +363,7 @@ fn gen_diagram<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image {
     img
 }
 
-fn gen_plot<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image {
+fn gen_plot<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image<'static> {
     // White canvas with solid left/bottom axes and a couple of colored
     // series.
     let mut img = Image::filled(w, h, [252, 252, 252]);
@@ -366,7 +395,7 @@ fn gen_plot<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image {
     img
 }
 
-fn gen_map<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image {
+fn gen_map<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image<'static> {
     // Water base with green landmass blobs.
     let mut img = Image::filled(w, h, [60, 110, 190]);
     let blobs = rng.gen_range(3..6);
@@ -389,7 +418,7 @@ fn gen_map<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image {
     img
 }
 
-fn gen_other<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image {
+fn gen_other<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image<'static> {
     // A flat gray gradient: low entropy, low saturation, no white field.
     let g0: u8 = rng.gen_range(60..120);
     let mut img = Image::filled(w, h, [g0, g0, g0]);
@@ -400,28 +429,6 @@ fn gen_other<R: Rng + ?Sized>(w: u32, h: u32, rng: &mut R) -> Image {
         }
     }
     img
-}
-
-/// Dominant-color object labels for the ImageNet stand-in extractor.
-pub fn dominant_labels(img: &Image) -> Vec<&'static str> {
-    let f = features(img);
-    let mut labels = Vec::new();
-    if f.geo_frac > 0.3 {
-        labels.push("vegetation");
-        labels.push("water");
-    }
-    if f.saturation > 60.0 {
-        labels.push("colorful-object");
-    }
-    if f.color_entropy > 7.0 {
-        labels.push("textured-scene");
-    } else if f.white_frac < 0.2 {
-        labels.push("uniform-field");
-    }
-    if labels.is_empty() {
-        labels.push("unidentified");
-    }
-    labels
 }
 
 #[cfg(test)]

@@ -1,62 +1,40 @@
-//! CSV/TSV parsing with header detection and column statistics.
+//! CSV/TSV reading with header detection and column statistics.
 //!
 //! The tabular extractor (§4.2) "processes data in common row-column
 //! formats ... that may contain a header of column labels. Metadata can be
 //! derived from the header, rows, or columns. Aggregate column-level
 //! metadata (e.g., mean and maximum) often provide useful insights."
 //!
-//! The parser handles quoted fields, delimiter inference (`,` vs `\t` vs
+//! The reader handles quoted fields, delimiter inference (`,` vs `\t` vs
 //! `;`), ragged-row detection, and per-column typing (numeric vs text vs
 //! empty) — the machinery the null-value extractor reuses.
 //!
-//! Cost contract: a [`Table`] borrows from the text it was parsed from.
-//! Cells are slices of the input held in one flat row-major vector; a
-//! field is copied only when its line contains a `"` (unquoting may
-//! rewrite it), so allocation follows files and quoted lines, not rows and
-//! cells. [`parse`] returns on the first offending row (a first row with
-//! fewer than two fields, or a later row of another width) without reading
-//! the rest, which makes it a cheap "is this prose really a table?" probe.
+//! Cost contract: [`summarize`] reads each line once and keeps no cell.
+//! Every field is classified and counted into its column as it is split
+//! off; a field is copied only from a line's first `"` on (unquoting may
+//! rewrite it), into one buffer the whole file shares. It returns on
+//! the first offending row (a first row with fewer than two fields, or a
+//! later row of another width) without reading the rest, which makes it a
+//! cheap "is this prose really a table?" probe.
 
-use std::borrow::Cow;
 use xtract_types::XtractError;
 
-/// A parsed table, borrowing its cells from the parsed text.
+/// What one pass over a table's text yields.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Table<'a> {
-    /// Column labels (synthesized `col0..colN` when no header detected).
-    pub header: Vec<String>,
+pub struct Summary {
     /// Whether the first row looked like a header.
     pub has_header: bool,
     /// The delimiter in use.
     pub delimiter: char,
-    /// Every cell, row-major, `header.len()` per row, starting with the
-    /// header row when one was detected.
-    cells: Vec<Cow<'a, str>>,
-}
-
-impl<'a> Table<'a> {
-    fn body(&self) -> &[Cow<'a, str>] {
-        let skip = if self.has_header {
-            self.header.len()
-        } else {
-            0
-        };
-        &self.cells[skip..]
-    }
-
-    /// Data rows (header excluded), in file order.
-    pub fn rows(&self) -> std::slice::Chunks<'_, Cow<'a, str>> {
-        self.body().chunks(self.header.len())
-    }
-
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.body().len() / self.header.len()
-    }
+    /// Number of data rows (header excluded).
+    pub rows: usize,
+    /// One entry per column, in file order, named by the header row (or
+    /// `col0..colN` when no header was detected).
+    pub columns: Vec<ColumnStats>,
 }
 
 /// Per-column aggregate statistics.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnStats {
     /// Column label.
     pub name: String,
@@ -98,130 +76,174 @@ pub fn infer_delimiter(text: &str) -> char {
     best
 }
 
-/// Appends one line's fields to `out`, honoring double-quoted fields with
-/// `""` escapes. A line without a quote is split in place and borrowed.
-fn split_line<'a>(line: &'a str, delim: char, out: &mut Vec<Cow<'a, str>>) {
-    if !line.contains('"') {
-        out.extend(line.split(delim).map(Cow::Borrowed));
-        return;
+/// Calls `f` on each field of one line with its column index, honoring
+/// double-quoted fields with `""` escapes, and returns the field count.
+/// Fields are split off in place up to the line's first quote; from the
+/// start of that field on, the rest of the line is unquoted field by
+/// field into `buf`. `delim` is one of [`infer_delimiter`]'s ASCII three.
+fn for_each_field(
+    line: &str,
+    delim: u8,
+    buf: &mut String,
+    mut f: impl FnMut(usize, &str),
+) -> usize {
+    let (mut fields, mut start) = (0, 0);
+    let mut quoted = false;
+    for (i, b) in line.bytes().enumerate() {
+        if b == b'"' {
+            quoted = true;
+            break;
+        } else if b == delim {
+            f(fields, &line[start..i]);
+            fields += 1;
+            start = i + 1;
+        }
     }
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
+    if !quoted {
+        f(fields, &line[start..]);
+        return fields + 1;
+    }
+    buf.clear();
+    let mut chars = line[start..].chars().peekable();
     let mut in_quotes = false;
     while let Some(c) = chars.next() {
         if in_quotes {
             if c == '"' {
                 if chars.peek() == Some(&'"') {
-                    cur.push('"');
+                    buf.push('"');
                     chars.next();
                 } else {
                     in_quotes = false;
                 }
             } else {
-                cur.push(c);
+                buf.push(c);
             }
-        } else if c == '"' && cur.is_empty() {
+        } else if c == '"' && buf.is_empty() {
             in_quotes = true;
-        } else if c == delim {
-            out.push(Cow::Owned(std::mem::take(&mut cur)));
+        } else if c == char::from(delim) {
+            f(fields, buf);
+            fields += 1;
+            buf.clear();
         } else {
-            cur.push(c);
+            buf.push(c);
         }
     }
-    out.push(Cow::Owned(cur));
+    f(fields, buf);
+    fields + 1
+}
+
+/// `s.trim()`. Most lines and cells begin and end in printable ASCII,
+/// which says there is nothing to trim without decoding from both ends.
+#[inline]
+fn trim(s: &str) -> &str {
+    match s.as_bytes() {
+        [a, .., z] if a.is_ascii_graphic() && z.is_ascii_graphic() => s,
+        _ => s.trim(),
+    }
 }
 
 fn is_numeric(cell: &str) -> bool {
-    !cell.trim().is_empty() && cell.trim().parse::<f64>().is_ok()
+    trim(cell).parse::<f64>().is_ok()
 }
 
-/// Parses a table from text. Fails on ragged rows (differing field
-/// counts), which is how the extractor detects that a "tabular" file is
-/// really free text; the failing row is the last one read.
-pub fn parse(text: &str) -> Result<Table<'_>, XtractError> {
+/// Counts one data cell into its column and returns [`is_numeric`] of it,
+/// from the same single `f64` parse. The two differ on purpose: the null
+/// sentinels `nan`, `-999` and `-9999` parse as numbers, which is what
+/// header detection asks, and count as nulls. `col.mean` carries the
+/// column's running sum, from `0.0` in file order, until [`summarize`]
+/// divides it.
+#[inline]
+fn tally(col: &mut ColumnStats, cell: &str) -> bool {
+    let trimmed = trim(cell);
+    let sentinel = |list: &[&str]| list.iter().any(|s| trimmed.eq_ignore_ascii_case(s));
+    let parsed = trimmed.parse::<f64>();
+    match parsed {
+        // `-999` has no letters: ignoring case compares it exactly.
+        Ok(_) if sentinel(&["nan", "-999", "-9999"]) => col.null_count += 1,
+        Ok(v) => {
+            col.numeric_count += 1;
+            col.mean = Some(col.mean.unwrap_or(0.0) + v);
+            col.min = Some(col.min.map_or(v, |m| m.min(v)));
+            col.max = Some(col.max.map_or(v, |m| m.max(v)));
+        }
+        Err(_) if sentinel(&["", "na", "null"]) => col.null_count += 1,
+        Err(_) => col.text_count += 1,
+    }
+    parsed.is_ok()
+}
+
+/// The first row turned out to be data: its cells leave the column names
+/// for the counts, and the columns take their synthetic names.
+fn first_row_is_data(columns: &mut [ColumnStats]) {
+    for (i, col) in columns.iter_mut().enumerate() {
+        let cell = std::mem::replace(&mut col.name, format!("col{i}"));
+        tally(col, &cell);
+    }
+}
+
+/// Reads a table from text in one pass: shape, header decision and
+/// per-column aggregates. Fails on ragged rows (differing field counts),
+/// which is how the extractors detect that a "tabular" file is really
+/// free text; the failing row is the last one read.
+///
+/// The first row is a header when it holds no numeric cell and a later
+/// row does. Its cells wait in the column names until that is known: they
+/// join the counts as data the moment one of them is numeric (before any
+/// later row, so every sum adds in file order) or, numeric-free, at the
+/// end of a numeric-free file, where they can only be nulls and text.
+pub fn summarize(text: &str) -> Result<Summary, XtractError> {
     let delimiter = infer_delimiter(text);
-    let mut cells: Vec<Cow<'_, str>> = Vec::new();
-    let mut width = 0;
-    let lines = text.lines().filter(|l| !l.trim().is_empty());
-    for (row, line) in lines.enumerate() {
-        let before = cells.len();
-        split_line(line, delimiter, &mut cells);
-        let fields = cells.len() - before;
-        if row == 0 {
-            if fields < 2 {
+    let delim = u8::try_from(delimiter).expect("infer_delimiter picks among ASCII");
+    let mut columns: Vec<ColumnStats> = Vec::new();
+    let mut buf = String::new();
+    let (mut first_numeric, mut body_numeric) = (false, false);
+    let mut rows = 0;
+    for line in text.lines().filter(|l| !trim(l).is_empty()) {
+        if rows == 0 {
+            for_each_field(line, delim, &mut buf, |_, cell| {
+                first_numeric |= is_numeric(cell);
+                columns.push(ColumnStats {
+                    name: cell.to_string(),
+                    ..ColumnStats::default()
+                });
+            });
+            if columns.len() < 2 {
                 return Err(fail("single-column input is not tabular"));
             }
-            width = fields;
-        } else if fields != width {
-            return Err(fail(format!(
-                "ragged row {row}: {fields} fields, expected {width}"
-            )));
-        }
-    }
-    if cells.is_empty() {
-        return Err(fail("empty table"));
-    }
-    // Header heuristic: first row has no numeric cells but later rows do.
-    let (first, rest) = cells.split_at(width);
-    let has_header = first.iter().all(|c| !is_numeric(c)) && rest.iter().any(|c| is_numeric(c));
-    let header: Vec<String> = if has_header {
-        first.iter().map(|c| c.to_string()).collect()
-    } else {
-        (0..width).map(|i| format!("col{i}")).collect()
-    };
-    Ok(Table {
-        header,
-        has_header,
-        delimiter,
-        cells,
-    })
-}
-
-/// Computes per-column aggregates.
-pub fn column_stats(table: &Table<'_>) -> Vec<ColumnStats> {
-    let width = table.header.len();
-    let mut stats: Vec<ColumnStats> = table
-        .header
-        .iter()
-        .map(|name| ColumnStats {
-            name: name.clone(),
-            numeric_count: 0,
-            null_count: 0,
-            text_count: 0,
-            mean: None,
-            min: None,
-            max: None,
-        })
-        .collect();
-    let mut sums = vec![0.0f64; width];
-    for row in table.rows() {
-        for (i, cell) in row.iter().enumerate() {
-            let trimmed = cell.trim();
-            let s = &mut stats[i];
-            if trimmed.is_empty()
-                || trimmed.eq_ignore_ascii_case("na")
-                || trimmed.eq_ignore_ascii_case("nan")
-                || trimmed.eq_ignore_ascii_case("null")
-                || trimmed == "-999"
-                || trimmed == "-9999"
-            {
-                s.null_count += 1;
-            } else if let Ok(v) = trimmed.parse::<f64>() {
-                s.numeric_count += 1;
-                sums[i] += v;
-                s.min = Some(s.min.map_or(v, |m| m.min(v)));
-                s.max = Some(s.max.map_or(v, |m| m.max(v)));
-            } else {
-                s.text_count += 1;
+            if first_numeric {
+                first_row_is_data(&mut columns);
+            }
+        } else {
+            let fields = for_each_field(line, delim, &mut buf, |i, cell| {
+                if let Some(col) = columns.get_mut(i) {
+                    body_numeric |= tally(col, cell);
+                }
+            });
+            if fields != columns.len() {
+                return Err(fail(format!(
+                    "ragged row {rows}: {fields} fields, expected {}",
+                    columns.len()
+                )));
             }
         }
+        rows += 1;
     }
-    for (i, s) in stats.iter_mut().enumerate() {
-        if s.numeric_count > 0 {
-            s.mean = Some(sums[i] / s.numeric_count as f64);
-        }
+    if rows == 0 {
+        return Err(fail("empty table"));
     }
-    stats
+    let has_header = !first_numeric && body_numeric;
+    if !first_numeric && !body_numeric {
+        first_row_is_data(&mut columns);
+    }
+    for col in &mut columns {
+        col.mean = col.mean.map(|sum| sum / col.numeric_count as f64);
+    }
+    Ok(Summary {
+        has_header,
+        delimiter,
+        rows: rows - usize::from(has_header),
+        columns,
+    })
 }
 
 #[cfg(test)]
@@ -231,57 +253,77 @@ mod tests {
     const SAMPLE: &str =
         "site,year,co2_ppm\nmauna loa,1990,354.45\nmauna loa,1991,355.62\nbarrow,1990,\n";
 
+    fn names(t: &Summary) -> Vec<&str> {
+        t.columns.iter().map(|c| c.name.as_str()).collect()
+    }
+
     #[test]
-    fn parses_with_header() {
-        let t = parse(SAMPLE).unwrap();
+    fn reads_with_header() {
+        let t = summarize(SAMPLE).unwrap();
         assert!(t.has_header);
-        assert_eq!(t.header, vec!["site", "year", "co2_ppm"]);
-        assert_eq!(t.row_count(), 3);
+        assert_eq!(names(&t), ["site", "year", "co2_ppm"]);
+        assert_eq!(t.rows, 3);
         assert_eq!(t.delimiter, ',');
     }
 
     #[test]
     fn headerless_table_gets_synthetic_names() {
-        let t = parse("1,2,3\n4,5,6\n").unwrap();
+        let t = summarize("1,2,3\n4,5,6\n").unwrap();
         assert!(!t.has_header);
-        assert_eq!(t.header, vec!["col0", "col1", "col2"]);
-        assert_eq!(t.row_count(), 2);
+        assert_eq!(names(&t), ["col0", "col1", "col2"]);
+        assert_eq!(t.rows, 2);
+        // The first row is data: it is in the sums, ahead of the second.
+        assert_eq!(t.columns[0].mean, Some(2.5));
+        assert_eq!(t.columns[2].min, Some(3.0));
+    }
+
+    #[test]
+    fn numeric_free_table_counts_its_first_row() {
+        let t = summarize("a,b\nc,\n").unwrap();
+        assert!(!t.has_header);
+        assert_eq!(names(&t), ["col0", "col1"]);
+        assert_eq!(t.rows, 2);
+        assert_eq!(t.columns[0].text_count, 2);
+        assert_eq!((t.columns[1].text_count, t.columns[1].null_count), (1, 1));
     }
 
     #[test]
     fn tsv_and_semicolons_are_inferred() {
-        assert_eq!(parse("a\tb\n1\t2\n").unwrap().delimiter, '\t');
-        assert_eq!(parse("a;b\n1;2\n").unwrap().delimiter, ';');
+        assert_eq!(summarize("a\tb\n1\t2\n").unwrap().delimiter, '\t');
+        assert_eq!(summarize("a;b\n1;2\n").unwrap().delimiter, ';');
     }
 
     #[test]
     fn quoted_fields_with_embedded_delimiters() {
-        let t = parse("id,notes\n1,\"hello, world\"\n2,\"she said \"\"hi\"\"\"\n").unwrap();
-        assert!(t.has_header);
-        let rows: Vec<_> = t.rows().collect();
-        assert_eq!(rows[0][1], "hello, world");
-        assert_eq!(rows[1][1], "she said \"hi\"");
-        // Only the quoted lines were copied.
-        assert!(matches!(t.cells[0], Cow::Borrowed("id")));
-        assert!(matches!(rows[0][0], Cow::Owned(_)));
+        let mut buf = String::new();
+        let mut fields = Vec::new();
+        for line in ["1,\"hello, world\"", "2,\"she said \"\"hi\"\"\""] {
+            let n = for_each_field(line, b',', &mut buf, |i, f| fields.push((i, f.to_string())));
+            assert_eq!(n, 2);
+        }
+        let text = |i: usize| fields[i].1.as_str();
+        assert_eq!((text(1), text(3)), ("hello, world", "she said \"hi\""));
+        // A quoted header names its column by the unquoted text.
+        let t = summarize("id,\"a \"\"b\"\", c\"\n1,\"2\"\n").unwrap();
+        assert_eq!(names(&t), ["id", "a \"b\", c"]);
+        assert_eq!(t.columns[1].numeric_count, 1);
     }
 
     #[test]
     fn ragged_rows_are_rejected() {
-        let err = parse("a,b\n1,2,3\n").unwrap_err();
+        let err = summarize("a,b\n1,2,3\n").unwrap_err();
         assert!(err.to_string().contains("ragged"));
     }
 
     #[test]
     fn prose_is_rejected() {
-        assert!(parse("this is just a sentence\nand another one\n").is_err());
-        assert!(parse("").is_err());
+        assert!(summarize("this is just a sentence\nand another one\n").is_err());
+        assert!(summarize("").is_err());
     }
 
     #[test]
     fn stats_aggregate_numeric_columns() {
-        let t = parse(SAMPLE).unwrap();
-        let stats = column_stats(&t);
+        let stats = summarize(SAMPLE).unwrap().columns;
         let year = &stats[1];
         assert_eq!(year.numeric_count, 3);
         assert_eq!(year.mean, Some((1990.0 + 1991.0 + 1990.0) / 3.0));
@@ -294,16 +336,16 @@ mod tests {
 
     #[test]
     fn sentinel_nulls_are_counted() {
-        let t = parse("a,b\n1,NA\n2,-999\n3,nan\n4,7\n").unwrap();
-        let stats = column_stats(&t);
+        let stats = summarize("a,b\n1,NA\n2,-999\n3,nan\n4,7\n")
+            .unwrap()
+            .columns;
         assert_eq!(stats[1].null_count, 3);
         assert_eq!(stats[1].numeric_count, 1);
     }
 
     #[test]
     fn text_cells_are_counted() {
-        let t = parse("k,v\nalpha,1\nbeta,x\n").unwrap();
-        let stats = column_stats(&t);
+        let stats = summarize("k,v\nalpha,1\nbeta,x\n").unwrap().columns;
         assert_eq!(stats[0].text_count, 2);
         assert_eq!(stats[1].text_count, 1);
         assert_eq!(stats[1].numeric_count, 1);

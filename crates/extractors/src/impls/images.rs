@@ -12,11 +12,11 @@
 //!   location tags with synthetic lat/lon — same metadata shape.
 
 use crate::extractor::{ExtractOutput, Extractor, FileSource};
-use crate::formats::image::{self, Image, ImageClass};
+use crate::formats::image::{self, Image, ImageClass, ImageFeatures};
 use serde_json::json;
 use xtract_types::{ExtractorKind, Family, FileType, Metadata, Result};
 
-fn decode_file(bytes: &[u8]) -> std::result::Result<Image, String> {
+fn decode_file(bytes: &[u8]) -> std::result::Result<Image<'_>, String> {
     Image::decode(bytes).map_err(|e| e.to_string())
 }
 
@@ -88,28 +88,14 @@ impl Extractor for ImagenetExtractor {
     }
 }
 
-/// Compass-quadrant location tags from land-blob centroids — the OCR
+/// Compass-quadrant location tags from the land-blob centroid — the OCR
 /// substitution for geographic maps.
-fn location_tags(img: &Image) -> Vec<serde_json::Value> {
-    // Centroid of "land" pixels (green-dominant).
-    let mut sx = 0.0f64;
-    let mut sy = 0.0f64;
-    let mut n = 0u64;
-    for y in 0..img.height {
-        for x in 0..img.width {
-            let [r, g, b] = img.get(x, y);
-            if g > r && g > b {
-                sx += x as f64;
-                sy += y as f64;
-                n += 1;
-            }
-        }
-    }
-    if n == 0 {
+fn location_tags(f: &ImageFeatures, img: &Image<'_>) -> Vec<serde_json::Value> {
+    let Some((x, y)) = f.land_centroid else {
         return vec![];
-    }
-    let cx = sx / n as f64 / img.width as f64;
-    let cy = sy / n as f64 / img.height as f64;
+    };
+    let cx = x / img.width as f64;
+    let cy = y / img.height as f64;
     let ns = if cy < 0.5 { "north" } else { "south" };
     let ew = if cx < 0.5 { "west" } else { "east" };
     // Pixel space → a synthetic lat/lon graticule.
@@ -142,11 +128,13 @@ impl Extractor for ImagesExtractor {
             let mut md = Metadata::new();
             match decode_file(&bytes) {
                 Ok(img) => {
-                    let class = image::classify(&img);
+                    // One walk over the pixels; class, labels and tags are
+                    // all read off its result.
+                    let f = image::features(&img);
+                    let class = f.class();
                     md.insert("class", class.label());
                     md.insert("width", img.width);
                     md.insert("height", img.height);
-                    let f = image::features(&img);
                     md.insert(
                         "features",
                         json!({
@@ -158,10 +146,10 @@ impl Extractor for ImagesExtractor {
                     );
                     match class {
                         ImageClass::Photograph => {
-                            md.insert("objects", json!(image::dominant_labels(&img)));
+                            md.insert("objects", json!(f.dominant_labels()));
                         }
                         ImageClass::GeographicMap => {
-                            md.insert("locations", json!(location_tags(&img)));
+                            md.insert("locations", json!(location_tags(&f, &img)));
                         }
                         _ => {}
                     }

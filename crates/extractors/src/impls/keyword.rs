@@ -18,8 +18,52 @@ use crate::extractor::{ExtractOutput, Extractor, FileSource};
 use crate::formats::table;
 use crate::impls::text_util::{for_each_token, rarity_weight};
 use serde_json::json;
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use xtract_types::{ExtractorKind, Family, FileType, Metadata, Result};
+
+/// The per-file word map's hasher: each 8-byte word of the key is xored
+/// into the state and folded through one 64×64→128-bit multiply, where
+/// SipHash spends its rounds on every token of the file. The state starts
+/// from a seed drawn per map from `RandomState`, so which words collide
+/// cannot be worked out from the file alone.
+#[derive(Debug, Clone, Copy)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn seeded() -> Self {
+        Self(RandomState::new().build_hasher().finish())
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let word = chunk.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+            let product =
+                u128::from(self.0 ^ word) * u128::from(0x9E37_79B9_7F4A_7C15 ^ chunk.len() as u64);
+            self.0 = product as u64 ^ (product >> 64) as u64;
+        }
+    }
+
+    // `str` ends its bytes with 0xff so that tuples of strings differ; one
+    // key is one string, and each chunk's length is already folded in.
+    fn write_u8(&mut self, _: u8) {}
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl BuildHasher for WordHasher {
+    type Hasher = Self;
+
+    fn build_hasher(&self) -> Self {
+        *self
+    }
+}
 
 /// Keyword extraction over free text.
 #[derive(Debug, Clone)]
@@ -60,27 +104,28 @@ impl Extractor for KeywordExtractor {
             };
             // Tabular-content detection: a "free text" file that parses as
             // a clean table gets routed onward.
-            if file.hint != FileType::Tabular && table::parse(text).is_ok() {
+            if file.hint != FileType::Tabular && table::summarize(text).is_ok() {
                 out.discovered.push((file.path.clone(), FileType::Tabular));
             }
             docs += 1;
-            // One allocation per distinct word: tokens are lent, and only
-            // a word's first sighting is copied into the map.
-            let mut counts: HashMap<String, u64> = HashMap::new();
+            // Keys borrow from the text where it already spells the word
+            // in lowercase; any other word is copied on its first sighting.
+            let mut counts: HashMap<Cow<'_, str>, u64, _> =
+                HashMap::with_hasher(WordHasher::seeded());
             let mut token_count = 0usize;
             for_each_token(text, |t| {
                 token_count += 1;
-                match counts.get_mut(t) {
+                match counts.get_mut(t.as_ref()) {
                     Some(c) => *c += 1,
                     None => {
-                        counts.insert(t.to_string(), 1);
+                        counts.insert(t.clone(), 1);
                     }
                 }
             });
             let total = token_count.max(1) as f64;
             let mut scored: Vec<(&str, f64)> = counts
                 .iter()
-                .map(|(w, &c)| (w.as_str(), (c as f64 / total) * rarity_weight(w)))
+                .map(|(w, &c)| (w.as_ref(), (c as f64 / total) * rarity_weight(w)))
                 .filter(|(_, s)| *s > 0.0)
                 .collect();
             scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));

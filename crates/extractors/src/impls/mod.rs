@@ -24,7 +24,7 @@ mod nullvalue;
 mod python;
 mod semistructured;
 mod tabular;
-pub(crate) mod text_util;
+pub mod text_util;
 
 pub use bert::BertExtractor;
 pub use ccode::CCodeExtractor;

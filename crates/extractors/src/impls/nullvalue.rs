@@ -29,15 +29,15 @@ impl Extractor for NullValueExtractor {
             let mut md = Metadata::new();
             let parsed = std::str::from_utf8(&bytes)
                 .ok()
-                .and_then(|t| table::parse(t).ok());
+                .and_then(|t| table::summarize(t).ok());
             let Some(t) = parsed else {
                 md.insert("error", "not parseable as a table");
                 out.per_file.push((file.path.clone(), md));
                 continue;
             };
-            let stats = table::column_stats(&t);
+            let stats = &t.columns;
             let nulls: u64 = stats.iter().map(|s| s.null_count as u64).sum();
-            let cells = (t.row_count() * t.header.len()) as u64;
+            let cells = (t.rows * stats.len()) as u64;
             family_nulls += nulls;
             family_cells += cells;
             md.insert("null_cells", nulls);

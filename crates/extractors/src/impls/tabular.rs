@@ -35,19 +35,22 @@ impl Extractor for TabularExtractor {
                     continue;
                 }
             };
-            match table::parse(text) {
+            match table::summarize(text) {
                 Ok(t) => {
                     tables += 1;
-                    total_rows += t.row_count() as u64;
-                    md.insert("rows", t.row_count());
-                    md.insert("columns", t.header.len());
+                    total_rows += t.rows as u64;
+                    md.insert("rows", t.rows);
+                    md.insert("columns", t.columns.len());
                     md.insert("has_header", t.has_header);
                     md.insert("delimiter", t.delimiter.to_string());
-                    md.insert("header", json!(t.header));
-                    let stats = table::column_stats(&t);
+                    md.insert(
+                        "header",
+                        json!(t.columns.iter().map(|s| &s.name).collect::<Vec<_>>()),
+                    );
                     md.insert(
                         "column_stats",
-                        json!(stats
+                        json!(t
+                            .columns
                             .iter()
                             .map(|s| json!({
                                 "name": s.name,

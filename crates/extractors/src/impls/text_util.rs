@@ -1,6 +1,8 @@
 //! Shared text machinery: tokenization, stopwords, and the background
 //! frequency table the keyword scorer uses as its IDF stand-in.
 
+use std::borrow::Cow;
+
 /// English stopwords (compact but covers the high-frequency head).
 pub const STOPWORDS: &[&str] = &[
     "a", "about", "above", "after", "again", "against", "al", "all", "also", "an", "and", "any",
@@ -57,25 +59,77 @@ pub fn is_stopword(word: &str) -> bool {
     STOPWORDS.binary_search(&word).is_ok()
 }
 
-/// Calls `f` on each lowercased alphabetic token of byte length ≥ 3, in
-/// text order. Every token is lent from one reused buffer, so a caller
-/// that counts words allocates per distinct word, not per token.
-pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
-    let mut cur = String::new();
-    for ch in text.chars() {
-        if ch.is_ascii_alphabetic() {
-            cur.push(ch.to_ascii_lowercase());
-        } else if !ch.is_ascii() && ch.is_alphabetic() {
-            cur.extend(ch.to_lowercase());
-        } else if !cur.is_empty() {
-            if cur.len() >= 3 {
-                f(&cur);
-            }
-            cur.clear();
+/// Length of the run of ASCII lowercase letters `bytes` starts with, eight
+/// bytes to a step: where a word ends is data, not a branch to mispredict.
+fn lowercase_run(bytes: &[u8]) -> usize {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut n = 0;
+    for chunk in bytes.chunks_exact(8) {
+        let x = u64::from_le_bytes(chunk.try_into().expect("chunks of 8"));
+        let y = x & LOW7;
+        // Bit 7 of each byte, set where that byte is in `b'a'..=b'z'`: at
+        // least `a`, not above `z`, and not ≥ 0x80 to begin with.
+        let lower = (y + ONES * (0x80 - b'a' as u64)) & !(y + ONES * (0x7f - b'z' as u64)) & !x;
+        if lower & !LOW7 != !LOW7 {
+            return n + ((!lower & !LOW7).trailing_zeros() / 8) as usize;
         }
+        n += 8;
     }
-    if cur.len() >= 3 {
-        f(&cur);
+    n + bytes[n..]
+        .iter()
+        .take_while(|b| b.is_ascii_lowercase())
+        .count()
+}
+
+/// Calls `f` on each lowercased alphabetic token of byte length ≥ 3, in
+/// text order. A run of lowercase ASCII letters is its own token and is
+/// lent straight from `text` (`Cow::Borrowed`, free to clone); a run that
+/// holds an uppercase or non-ASCII letter is lowercased `char` by `char`
+/// into one reused buffer and lent from there. A caller that counts words
+/// therefore copies at most once per distinct word, and only words the
+/// text does not already spell in lowercase.
+pub fn for_each_token<'a>(text: &'a str, mut f: impl FnMut(&Cow<'a, str>)) {
+    let bytes = text.as_bytes();
+    let mut folded: Cow<'a, str> = Cow::Owned(String::new());
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        let mut plain = true;
+        // Walks one alphabetic run; yields the width of what ended it.
+        let delimiter = loop {
+            i += lowercase_run(&bytes[i..]);
+            match bytes.get(i) {
+                None => break 0,
+                Some(b'A'..=b'Z') => {
+                    plain = false;
+                    i += 1;
+                }
+                Some(0x80..) => {
+                    let ch = text[i..].chars().next().expect("i is a char boundary");
+                    if !ch.is_alphabetic() {
+                        break ch.len_utf8();
+                    }
+                    plain = false;
+                    i += ch.len_utf8();
+                }
+                Some(_) => break 1,
+            }
+        };
+        let run = &text[start..i];
+        if plain {
+            if run.len() >= 3 {
+                f(&Cow::Borrowed(run));
+            }
+        } else {
+            let cur = folded.to_mut();
+            cur.clear();
+            cur.extend(run.chars().flat_map(char::to_lowercase));
+            if cur.len() >= 3 {
+                f(&folded);
+            }
+        }
+        i += delimiter;
     }
 }
 
@@ -155,6 +209,26 @@ mod tests {
         ] {
             assert_eq!(visited(text), tokenize(text), "{text:?}");
         }
+    }
+
+    #[test]
+    fn lowercase_run_stops_at_the_first_other_byte_wherever_it_is() {
+        for len in [0, 1, 7, 8, 9, 16, 23] {
+            assert_eq!(lowercase_run(&vec![b'q'; len]), len);
+            for at in 0..len {
+                for other in (0..=u8::MAX).filter(|b| !b.is_ascii_lowercase()) {
+                    let mut bytes = vec![b'a' + (at % 26) as u8; len];
+                    bytes[at] = other;
+                    // What follows the first stop must not matter.
+                    for after in [b'z', b'A', 0xff] {
+                        bytes[at + 1..].fill(after);
+                        assert_eq!(lowercase_run(&bytes), at, "{other:#x} at {at} of {len}");
+                    }
+                }
+            }
+        }
+        assert_eq!(lowercase_run(b"abcdefghijklmnopqrstuvwxyz{"), 26);
+        assert_eq!(lowercase_run(b"`abc"), 0);
     }
 
     #[test]

@@ -19,7 +19,8 @@ proptest! {
                 img.set(x, y, [rng.gen(), rng.gen(), rng.gen()]);
             }
         }
-        let decoded = image::Image::decode(&img.encode()).unwrap();
+        let bytes = img.encode();
+        let decoded = image::Image::decode(&bytes).unwrap();
         prop_assert_eq!(decoded, img);
     }
 
@@ -85,25 +86,21 @@ proptest! {
         let _ = hdf::parse(&text);
     }
 
-    /// The CSV parser never panics, and when it succeeds, every row has
-    /// the header's width.
+    /// The CSV reader never panics, and when it succeeds, every column
+    /// accounts for every data row.
     #[test]
-    fn table_parse_well_formed(text in "\\PC{0,400}") {
-        if let Ok(t) = table::parse(&text) {
-            for row in t.rows() {
-                prop_assert_eq!(row.len(), t.header.len());
-            }
-            let stats = table::column_stats(&t);
-            prop_assert_eq!(stats.len(), t.header.len());
+    fn table_read_well_formed(text in "\\PC{0,400}") {
+        if let Ok(t) = table::summarize(&text) {
+            prop_assert!(t.columns.len() >= 2);
             // Cell accounting: numeric + null + text = cells per column.
-            for s in &stats {
-                prop_assert_eq!(s.numeric_count + s.null_count + s.text_count, t.row_count());
+            for s in &t.columns {
+                prop_assert_eq!(s.numeric_count + s.null_count + s.text_count, t.rows);
             }
         }
     }
 
-    /// The borrowing CSV parser and the allocating one it replaced agree
-    /// cell for cell, statistic for statistic and error message for error
+    /// The streaming CSV reader and the parser it replaced agree on shape,
+    /// header, statistic for statistic and error message for error
     /// message on text dense in delimiters, quotes, line breaks and a
     /// multi-byte letter (`\PC` above never produces a second line).
     #[test]
@@ -117,10 +114,10 @@ proptest! {
         use rand::SeedableRng;
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let text = xtract_workloads::materialize::csv(&mut rng, rows);
-        let t = table::parse(&text).unwrap();
+        let t = table::summarize(&text).unwrap();
         prop_assert!(t.has_header);
-        prop_assert_eq!(t.row_count(), rows);
-        prop_assert_eq!(t.header.len(), 4);
+        prop_assert_eq!(t.rows, rows);
+        prop_assert_eq!(t.columns.len(), 4);
         oracle::assert_same_table(&text);
         oracle::assert_same_table(&text.replace("st0", "\"st,\"\"0\"\"\""));
     }

@@ -1,8 +1,9 @@
-//! The borrowing kernels (`formats::table`, the token visitor under
-//! `KeywordExtractor`) against the allocating ones they replaced
-//! (`oracle/`): same tables, same statistics, same error messages, same
-//! `ExtractOutput`s. Plain seeded loops, so the file runs wherever the
-//! crate builds; the proptest twins live in `format_properties.rs`.
+//! The one-pass kernels (`table::summarize`, `image::features`, the token
+//! visitor under `KeywordExtractor`) against the ones they replaced
+//! (`oracle/`): same statistics and features bit for bit, same tokens,
+//! same error messages, same `ExtractOutput`s. Plain seeded loops, so the
+//! file runs wherever the crate builds; the proptest twins live in
+//! `format_properties.rs`.
 
 mod oracle;
 
@@ -11,8 +12,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
 use std::collections::HashMap;
+use xtract_extractors::formats::image::{self, Image, ImageClass};
 use xtract_extractors::formats::table;
-use xtract_extractors::impls::{KeywordExtractor, NullValueExtractor, TabularExtractor};
+use xtract_extractors::impls::text_util::for_each_token;
+use xtract_extractors::impls::{
+    ImagesExtractor, KeywordExtractor, NullValueExtractor, TabularExtractor,
+};
 use xtract_extractors::{ExtractOutput, Extractor, MapSource};
 use xtract_types::{EndpointId, Family, FamilyId, FileRecord, FileType, Group, GroupId, Metadata};
 use xtract_workloads::materialize;
@@ -22,14 +27,14 @@ fn generated_corpora_parse_alike() {
     for seed in 0..24 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let csv = materialize::csv(&mut rng, 1 + seed as usize * 37);
-        assert!(table::parse(&csv).is_ok());
+        assert!(table::summarize(&csv).is_ok());
         assert_same_table(&csv);
         assert_same_table(&csv.replace(',', "\t"));
         assert_same_table(&csv.replace(',', ";"));
         assert_same_table(&csv.replace('\n', "\r\n"));
         assert_same_table(&csv.replace("st0", "\"st,\"\"0\"\"\""));
         let prose = materialize::prose(&mut rng, 50 + seed as usize * 211);
-        assert!(table::parse(&prose).is_err());
+        assert!(table::summarize(&prose).is_err());
         assert_same_table(&prose);
         assert_same_table(&prose.replace(' ', ","));
     }
@@ -62,6 +67,26 @@ fn edge_cases_parse_alike() {
         "é,ü\n1,2\n",
         "a,\"é\"\"ü\"\n1,2\n",
         "inf,-inf\ninf,-inf\n-inf,inf\n",
+        // What the first row decides, and when: a number, a number that
+        // counts as a null, or a blank in row 0; a body without numbers;
+        // a header and nothing else; quotes in row 0.
+        "1.5,x\n2.5,y\n0.1,z\n",
+        "x,1e-3\ny,2.25\nz,0.1\n",
+        "a,nan\nb,1\nc,2\n",
+        "inf,a\n1,b\n",
+        "a,-999\n0.1,0.2\n0.3,0.4\n",
+        "-9999,NA\nnull,x\n",
+        "a,\n1,2\n",
+        " ,\t\n1,2\n",
+        ",\n,\n",
+        "a,b\nc,\nNA,null\n",
+        "a,b\nnan,x\n",
+        "a,b\n-999,x\n",
+        "name,value\n",
+        "\"a,b\",c\n1,2\n",
+        "\"1\",\"x\"\n\"2\",y\n",
+        "\"a\"\"b\",\"c\"\nd,e\n",
+        "\"na\",\" 7 \"\n\"3\",4\n",
     ] {
         assert_same_table(text);
     }
@@ -75,7 +100,7 @@ fn a_ragged_row_is_named_after_a_thousand_good_ones() {
     }
     text.push_str("late,1,2\nnever,read\"\n");
     assert_same_table(&text);
-    let err = table::parse(&text).unwrap_err().to_string();
+    let err = table::summarize(&text).unwrap_err().to_string();
     assert!(
         err.contains("ragged row 1001: 3 fields, expected 2"),
         "{err}"
@@ -93,6 +118,259 @@ fn random_strings_parse_alike() {
             .collect();
         assert_same_table(&text);
     }
+}
+
+/// One family of one group holding `files`, and the source serving them.
+fn one_family<'a>(
+    files: impl Iterator<Item = (&'a str, FileType, &'a [u8])>,
+) -> (Family, MapSource) {
+    let mut src = MapSource::new();
+    let mut records = Vec::new();
+    for (path, hint, body) in files {
+        src.insert(path, body.to_vec());
+        let size = body.len() as u64;
+        records.push(FileRecord::new(path, size, EndpointId::new(0), hint));
+    }
+    let group = Group::new(
+        GroupId::new(0),
+        records.iter().map(|f| f.path.clone()).collect(),
+    );
+    let family = Family::new(FamilyId::new(0), records, vec![group], EndpointId::new(0));
+    (family, src)
+}
+
+/// What the one-pass tokenizer lends, against both references.
+fn assert_same_tokens(text: &str) {
+    let mut new = Vec::new();
+    for_each_token(text, |t| new.push(t.to_string()));
+    let mut parent = Vec::new();
+    oracle::for_each_token(text, |t| parent.push(t.to_string()));
+    assert_eq!(new, parent, "{text:?}");
+    assert_eq!(new, oracle::tokenize(text), "{text:?}");
+}
+
+#[test]
+fn edge_cases_tokenize_alike() {
+    for text in [
+        "",
+        "MiXeD CaSe ASCII and lower, UPPER.",
+        "ab1cde f2g hi3jklm n0p",
+        "İstanbul ǅ ß ﬁ İİ ǅǅ ßß ﬁx",
+        "a bc def",
+        "def bc a",
+        "é éé ééé x",
+        "ab",
+        "abc",
+        "métadonnées über alles\r\nÀ-propos 日本語 ok",
+        // A token that starts, ends or sits wholly at a non-ASCII letter.
+        "éabc abcé é ééé aéb Éa aÉ",
+        "abcé,éabc;é.日本語",
+        "İ İa aİ ab\u{130} \u{130}ab",
+        // Two bytes before a non-alphabetic non-ASCII char; three after.
+        "ab€cde ab€ ab\u{a0}cd xy…z ab→",
+        "ab\u{301}cd e\u{301}e\u{301}",
+        "Ab aB abC ABC aBc1ABc",
+        "ǅ ǅx ßß SS ẞ ẞẞ",
+    ] {
+        assert_same_tokens(text);
+    }
+}
+
+#[test]
+fn a_lowercase_run_is_lent_from_the_text_and_any_other_is_not() {
+    let text = "lower Upper été abc";
+    let inside = |t: &str| text.as_bytes().as_ptr_range().contains(&t.as_ptr());
+    let mut lent = Vec::new();
+    for_each_token(text, |t| {
+        lent.push((t.to_string(), inside(t)));
+        assert_eq!(matches!(t, std::borrow::Cow::Borrowed(_)), inside(t));
+    });
+    let expect = [
+        ("lower", true),
+        ("upper", false),
+        ("été", false),
+        ("abc", true),
+    ];
+    assert!(lent
+        .iter()
+        .map(|(t, b)| (t.as_str(), *b))
+        .eq(expect.iter().copied()));
+}
+
+#[test]
+fn random_strings_tokenize_alike() {
+    const ALPHABET: [char; 14] = [
+        'a', 'b', 'Z', '1', ',', ' ', '\n', 'é', 'É', 'İ', 'ß', '€', '日', '\u{301}',
+    ];
+    let mut rng = SmallRng::seed_from_u64(21);
+    for _ in 0..40_000 {
+        let len = rng.gen_range(0..48);
+        let text: String = (0..len)
+            .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+            .collect();
+        assert_same_tokens(&text);
+    }
+    // The table alphabet too: its only letters are `a` and `é`.
+    const TABLE: [char; 10] = ['a', '1', ',', '\t', ';', '"', ' ', '\n', '\r', 'é'];
+    for _ in 0..40_000 {
+        let len = rng.gen_range(0..48);
+        let text: String = (0..len)
+            .map(|_| TABLE[rng.gen_range(0..TABLE.len())])
+            .collect();
+        assert_same_tokens(&text);
+    }
+}
+
+/// Every `ImageFeatures` field the parent had, by bit pattern, and the
+/// class and labels read off them.
+fn assert_same_features(img: &Image<'_>, what: &str) {
+    let (new, old) = (image::features(img), oracle::image::features(img));
+    let bits = |f: [f64; 6]| f.map(f64::to_bits);
+    assert_eq!(
+        bits([
+            new.white_frac,
+            new.saturation,
+            new.geo_frac,
+            new.edge_density,
+            new.color_entropy,
+            new.axis_score
+        ]),
+        bits([
+            old.white_frac,
+            old.saturation,
+            old.geo_frac,
+            old.edge_density,
+            old.color_entropy,
+            old.axis_score
+        ]),
+        "{what}: {new:?} vs {old:?}"
+    );
+    // NaN features (an image without pixels) compare as the parent's did.
+    assert_eq!(new.class(), oracle::image::classify(img), "{what}");
+    assert_eq!(image::classify(img), oracle::image::classify(img), "{what}");
+    let labels = oracle::image::dominant_labels(img);
+    assert_eq!(new.dominant_labels(), labels, "{what}");
+    assert_eq!(image::dominant_labels(img), labels, "{what}");
+}
+
+#[test]
+fn image_features_match_the_three_walk_kernel_bit_for_bit() {
+    let mut rng = SmallRng::seed_from_u64(21);
+    let mut shapes: Vec<(u32, u32)> = [1, 2, 15, 16, 17, 48, 164].map(|s| (s, s)).into();
+    shapes.extend([(1, 37), (37, 1), (3, 200), (200, 3), (16, 33), (33, 16)]);
+    for class in ImageClass::ALL {
+        for &(w, h) in &shapes {
+            // The generators draw boxes and axes: they need a few pixels.
+            let img = if w.min(h) >= 15 {
+                image::generate(class, w, h, &mut rng)
+            } else {
+                let mut img = Image::filled(w, h, [0, 0, 0]);
+                for i in 0..w * h {
+                    img.set(i % w, i / w, [rng.gen(), rng.gen(), rng.gen()]);
+                }
+                img
+            };
+            let what = format!("{class:?} {w}x{h}");
+            assert_same_features(&img, &what);
+            // Decoded, the features are those of the same pixels, lent.
+            let bytes = img.encode();
+            let lent = Image::decode(&bytes).unwrap();
+            assert!(matches!(lent.pixels, std::borrow::Cow::Borrowed(_)));
+            assert_eq!(lent, img);
+            assert_same_features(&lent, &what);
+            assert!(Image::decode(&bytes[..bytes.len() - 1]).is_err(), "{what}");
+        }
+    }
+    // Noise, where every pixel differs from its neighbours; and no pixels.
+    for side in [1u32, 2, 16, 17, 61] {
+        let mut img = Image::filled(side, side + 3, [0, 0, 0]);
+        for i in 0..side * (side + 3) {
+            img.set(i % side, i / side, [rng.gen(), rng.gen(), rng.gen()]);
+        }
+        assert_same_features(&img, "noise");
+    }
+    for (w, h) in [(0, 0), (0, 5), (5, 0)] {
+        let img = Image::filled(w, h, [9, 9, 9]);
+        let (new, old) = (image::features(&img), oracle::image::features(&img));
+        assert_eq!(new.white_frac.is_nan(), old.white_frac.is_nan());
+        assert_eq!(new.axis_score.to_bits(), old.axis_score.to_bits());
+        assert_eq!(new.edge_density.to_bits(), old.edge_density.to_bits());
+        assert_eq!(new.land_centroid, None);
+    }
+}
+
+/// `ImagesExtractor::extract` as the parent wrote it, over the oracle.
+fn oracle_images(files: &[(String, Vec<u8>)]) -> ExtractOutput {
+    let mut out = ExtractOutput::default();
+    for (path, bytes) in files {
+        let mut md = Metadata::new();
+        match Image::decode(bytes) {
+            Ok(img) => {
+                let class = oracle::image::classify(&img);
+                md.insert("class", class.label());
+                md.insert("width", img.width);
+                md.insert("height", img.height);
+                let f = oracle::image::features(&img);
+                md.insert(
+                    "features",
+                    json!({
+                        "white_frac": f.white_frac,
+                        "saturation": f.saturation,
+                        "color_entropy": f.color_entropy,
+                        "edge_density": f.edge_density,
+                    }),
+                );
+                match class {
+                    ImageClass::Photograph => {
+                        md.insert("objects", json!(oracle::image::dominant_labels(&img)));
+                    }
+                    ImageClass::GeographicMap => {
+                        md.insert("locations", json!(oracle::image::location_tags(&img)));
+                    }
+                    _ => {}
+                }
+            }
+            Err(e) => md.insert("error", e.to_string()),
+        }
+        out.per_file.push((path.clone(), md));
+    }
+    out
+}
+
+#[test]
+fn images_extractor_matches_outputs_built_from_the_oracle() {
+    let mut rng = SmallRng::seed_from_u64(21);
+    let mut files: Vec<(String, Vec<u8>)> = Vec::new();
+    for class in ImageClass::ALL {
+        for (w, h) in [(48, 48), (164, 164), (97, 40), (40, 97)] {
+            let img = image::generate(class, w, h, &mut rng);
+            files.push((
+                format!("/i/{}-{w}x{h}.ximg", class.label()),
+                img.encode().to_vec(),
+            ));
+        }
+    }
+    // Land in one corner only, land nowhere, and a file cut short.
+    let mut corner = Image::filled(40, 30, [60, 110, 190]);
+    corner.set(39, 29, [70, 160, 60]);
+    files.push(("/i/corner.ximg".into(), corner.encode().to_vec()));
+    let sea = Image::filled(40, 30, [60, 110, 190]);
+    files.push(("/i/sea.ximg".into(), sea.encode().to_vec()));
+    let mut cut = sea.encode().to_vec();
+    cut.truncate(500);
+    files.push(("/i/cut.ximg".into(), cut));
+    files.push(("/i/short.ximg".into(), b"XIMG\x01".to_vec()));
+
+    let (family, src) = one_family(
+        files
+            .iter()
+            .map(|(p, b)| (p.as_str(), FileType::Image, b.as_slice())),
+    );
+    let out = ImagesExtractor.extract(&family, &src).unwrap();
+    let expected = oracle_images(&files);
+    assert!(out.per_file.iter().any(|(_, md)| md.contains("locations")));
+    assert!(out.per_file.iter().any(|(_, md)| md.contains("objects")));
+    assert_eq!(out, expected);
 }
 
 /// `KeywordExtractor::extract` as the parent wrote it, over the oracle.
@@ -160,8 +438,8 @@ fn oracle_tabular(files: &[(&str, FileType, String)]) -> ExtractOutput {
         match oracle::parse(text) {
             Ok(t) => {
                 tables += 1;
-                total_rows += t.rows.len() as u64;
-                md.insert("rows", t.rows.len());
+                total_rows += t.row_count() as u64;
+                md.insert("rows", t.row_count());
                 md.insert("columns", t.header.len());
                 md.insert("has_header", t.has_header);
                 md.insert("delimiter", t.delimiter.to_string());
@@ -207,7 +485,7 @@ fn oracle_null_value(files: &[(&str, FileType, String)]) -> ExtractOutput {
         };
         let stats = oracle::column_stats(&t);
         let nulls: u64 = stats.iter().map(|s| s.null_count as u64).sum();
-        let cells = (t.rows.len() * t.header.len()) as u64;
+        let cells = (t.row_count() * t.header.len()) as u64;
         family_nulls += nulls;
         family_cells += cells;
         md.insert("null_cells", nulls);
@@ -277,22 +555,7 @@ fn extractors_match_outputs_built_from_the_oracle() {
         ("/f/ragged.csv", FileType::Tabular, "a,b\n1,2\n3\n".into()),
         ("/f/empty.csv", FileType::Tabular, String::new()),
     ];
-    let mut src = MapSource::new();
-    let mut records = Vec::new();
-    for (path, hint, text) in &files {
-        src.insert(*path, text.clone().into_bytes());
-        records.push(FileRecord::new(
-            *path,
-            text.len() as u64,
-            EndpointId::new(0),
-            *hint,
-        ));
-    }
-    let group = Group::new(
-        GroupId::new(0),
-        records.iter().map(|f| f.path.clone()).collect(),
-    );
-    let family = Family::new(FamilyId::new(0), records, vec![group], EndpointId::new(0));
+    let (family, src) = one_family(files.iter().map(|(p, h, t)| (*p, *h, t.as_bytes())));
 
     let keyword = KeywordExtractor::default();
     assert_eq!(

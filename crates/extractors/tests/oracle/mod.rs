@@ -1,17 +1,51 @@
-//! The allocating kernels the borrowing ones replaced, kept as the
-//! reference the equivalence tests compare against: a `String` per token,
-//! a `Vec<String>` per row, every row parsed before any is judged.
+//! The kernels the one-pass ones replaced, kept as the reference the
+//! equivalence tests compare against. `parse` + `column_stats` (a `Cow`
+//! per cell, then a second walk over the cells), `for_each_token` (`char`
+//! by `char` into a buffer) and `image` are the parent's, moved here as
+//! they stood; `tokenize` and `rarity_weight` are the allocating ones
+//! those were themselves held to.
 
 #![allow(dead_code)]
 
-use xtract_extractors::formats::table::{infer_delimiter, ColumnStats};
+pub mod image;
+
+use std::borrow::Cow;
+use xtract_extractors::formats::table::{self, infer_delimiter, ColumnStats};
 use xtract_types::XtractError;
 
-pub struct Table {
+/// A parsed table, borrowing its cells from the parsed text.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table<'a> {
+    /// Column labels (synthesized `col0..colN` when no header detected).
     pub header: Vec<String>,
+    /// Whether the first row looked like a header.
     pub has_header: bool,
+    /// The delimiter in use.
     pub delimiter: char,
-    pub rows: Vec<Vec<String>>,
+    /// Every cell, row-major, `header.len()` per row, starting with the
+    /// header row when one was detected.
+    cells: Vec<Cow<'a, str>>,
+}
+
+impl<'a> Table<'a> {
+    fn body(&self) -> &[Cow<'a, str>] {
+        let skip = if self.has_header {
+            self.header.len()
+        } else {
+            0
+        };
+        &self.cells[skip..]
+    }
+
+    /// Data rows (header excluded), in file order.
+    pub fn rows(&self) -> std::slice::Chunks<'_, Cow<'a, str>> {
+        self.body().chunks(self.header.len())
+    }
+
+    /// Number of data rows.
+    pub fn row_count(&self) -> usize {
+        self.body().len() / self.header.len()
+    }
 }
 
 fn fail(reason: impl Into<String>) -> XtractError {
@@ -22,8 +56,13 @@ fn fail(reason: impl Into<String>) -> XtractError {
     }
 }
 
-fn split_line(line: &str, delim: char) -> Vec<String> {
-    let mut fields = Vec::new();
+/// Appends one line's fields to `out`, honoring double-quoted fields with
+/// `""` escapes. A line without a quote is split in place and borrowed.
+fn split_line<'a>(line: &'a str, delim: char, out: &mut Vec<Cow<'a, str>>) {
+    if !line.contains('"') {
+        out.extend(line.split(delim).map(Cow::Borrowed));
+        return;
+    }
     let mut cur = String::new();
     let mut chars = line.chars().peekable();
     let mut in_quotes = false;
@@ -42,44 +81,49 @@ fn split_line(line: &str, delim: char) -> Vec<String> {
         } else if c == '"' && cur.is_empty() {
             in_quotes = true;
         } else if c == delim {
-            fields.push(std::mem::take(&mut cur));
+            out.push(Cow::Owned(std::mem::take(&mut cur)));
         } else {
             cur.push(c);
         }
     }
-    fields.push(cur);
-    fields
+    out.push(Cow::Owned(cur));
 }
 
 fn is_numeric(cell: &str) -> bool {
     !cell.trim().is_empty() && cell.trim().parse::<f64>().is_ok()
 }
 
-pub fn parse(text: &str) -> Result<Table, XtractError> {
+/// Parses a table from text. Fails on ragged rows (differing field
+/// counts), which is how the extractor detects that a "tabular" file is
+/// really free text; the failing row is the last one read.
+pub fn parse(text: &str) -> Result<Table<'_>, XtractError> {
     let delimiter = infer_delimiter(text);
-    let mut rows: Vec<Vec<String>> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| split_line(l, delimiter))
-        .collect();
-    if rows.is_empty() {
+    let mut cells: Vec<Cow<'_, str>> = Vec::new();
+    let mut width = 0;
+    let lines = text.lines().filter(|l| !l.trim().is_empty());
+    for (row, line) in lines.enumerate() {
+        let before = cells.len();
+        split_line(line, delimiter, &mut cells);
+        let fields = cells.len() - before;
+        if row == 0 {
+            if fields < 2 {
+                return Err(fail("single-column input is not tabular"));
+            }
+            width = fields;
+        } else if fields != width {
+            return Err(fail(format!(
+                "ragged row {row}: {fields} fields, expected {width}"
+            )));
+        }
+    }
+    if cells.is_empty() {
         return Err(fail("empty table"));
     }
-    let width = rows[0].len();
-    if width < 2 {
-        return Err(fail("single-column input is not tabular"));
-    }
-    if let Some((i, r)) = rows.iter().enumerate().find(|(_, r)| r.len() != width) {
-        return Err(fail(format!(
-            "ragged row {i}: {} fields, expected {width}",
-            r.len()
-        )));
-    }
-    let first_numericless = rows[0].iter().all(|c| !is_numeric(c));
-    let body_has_numbers = rows.iter().skip(1).any(|r| r.iter().any(|c| is_numeric(c)));
-    let has_header = first_numericless && body_has_numbers && rows.len() > 1;
+    // Header heuristic: first row has no numeric cells but later rows do.
+    let (first, rest) = cells.split_at(width);
+    let has_header = first.iter().all(|c| !is_numeric(c)) && rest.iter().any(|c| is_numeric(c));
     let header: Vec<String> = if has_header {
-        rows.remove(0)
+        first.iter().map(|c| c.to_string()).collect()
     } else {
         (0..width).map(|i| format!("col{i}")).collect()
     };
@@ -87,11 +131,13 @@ pub fn parse(text: &str) -> Result<Table, XtractError> {
         header,
         has_header,
         delimiter,
-        rows,
+        cells,
     })
 }
 
-pub fn column_stats(table: &Table) -> Vec<ColumnStats> {
+/// Computes per-column aggregates.
+pub fn column_stats(table: &Table<'_>) -> Vec<ColumnStats> {
+    let width = table.header.len();
     let mut stats: Vec<ColumnStats> = table
         .header
         .iter()
@@ -105,8 +151,8 @@ pub fn column_stats(table: &Table) -> Vec<ColumnStats> {
             max: None,
         })
         .collect();
-    let mut sums = vec![0.0f64; table.header.len()];
-    for row in &table.rows {
+    let mut sums = vec![0.0f64; width];
+    for row in table.rows() {
         for (i, cell) in row.iter().enumerate() {
             let trimmed = cell.trim();
             let s = &mut stats[i];
@@ -134,6 +180,28 @@ pub fn column_stats(table: &Table) -> Vec<ColumnStats> {
         }
     }
     stats
+}
+
+/// Calls `f` on each lowercased alphabetic token of byte length ≥ 3, in
+/// text order. Every token is lent from one reused buffer, so a caller
+/// that counts words allocates per distinct word, not per token.
+pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
+    let mut cur = String::new();
+    for ch in text.chars() {
+        if ch.is_ascii_alphabetic() {
+            cur.push(ch.to_ascii_lowercase());
+        } else if !ch.is_ascii() && ch.is_alphabetic() {
+            cur.extend(ch.to_lowercase());
+        } else if !cur.is_empty() {
+            if cur.len() >= 3 {
+                f(&cur);
+            }
+            cur.clear();
+        }
+    }
+    if cur.len() >= 3 {
+        f(&cur);
+    }
 }
 
 pub fn tokenize(text: &str) -> Vec<String> {
@@ -184,53 +252,33 @@ pub fn rarity_weight(word: &str) -> f64 {
     1.0 + 0.5 * len_factor + 0.15 * rare_letters
 }
 
-/// Panics unless the borrowing `table::parse` and [`parse`] agree on
-/// `text`: same table cell for cell and the same column statistics (floats
-/// by bit pattern), or the same error message.
+/// Panics unless `table::summarize` and [`parse`] + [`column_stats`]
+/// agree on `text`: the same shape, header decision, column names and
+/// column statistics (floats by bit pattern), or the same error message.
 pub fn assert_same_table(text: &str) {
-    use xtract_extractors::formats::table;
-    match (table::parse(text), parse(text)) {
+    match (table::summarize(text), parse(text)) {
         (Ok(new), Ok(old)) => {
-            assert_eq!(new.header, old.header, "{text:?}");
             assert_eq!(new.has_header, old.has_header, "{text:?}");
             assert_eq!(new.delimiter, old.delimiter, "{text:?}");
-            assert_eq!(new.row_count(), old.rows.len(), "{text:?}");
-            for (n, o) in new.rows().zip(&old.rows) {
-                let same = n
-                    .iter()
-                    .map(|c| c.as_ref())
-                    .eq(o.iter().map(String::as_str));
-                assert!(same, "{text:?}");
-            }
+            assert_eq!(new.rows, old.row_count(), "{text:?}");
+            let names = new.columns.iter().map(|c| &c.name);
+            assert!(names.eq(&old.header), "{text:?}");
             let bits = |s: &ColumnStats| {
                 let b = |v: Option<f64>| v.map(f64::to_bits);
-                (b(s.mean), b(s.min), b(s.max))
+                (
+                    (s.numeric_count, s.null_count, s.text_count),
+                    (b(s.mean), b(s.min), b(s.max)),
+                )
             };
-            let (new, old) = (table::column_stats(&new), column_stats(&old));
-            assert_eq!(new.len(), old.len());
-            for (n, o) in new.iter().zip(&old) {
-                assert_eq!(
-                    (
-                        &n.name,
-                        n.numeric_count,
-                        n.null_count,
-                        n.text_count,
-                        bits(n)
-                    ),
-                    (
-                        &o.name,
-                        o.numeric_count,
-                        o.null_count,
-                        o.text_count,
-                        bits(o)
-                    ),
-                    "{text:?}"
-                );
+            let old = column_stats(&old);
+            assert_eq!(new.columns.len(), old.len(), "{text:?}");
+            for (n, o) in new.columns.iter().zip(&old) {
+                assert_eq!((&n.name, bits(n)), (&o.name, bits(o)), "{text:?}");
             }
         }
         (Err(new), Err(old)) => assert_eq!(new.to_string(), old.to_string(), "{text:?}"),
         (new, old) => panic!(
-            "{text:?}: borrowing parse ok={}, oracle ok={}",
+            "{text:?}: streaming reader ok={}, oracle ok={}",
             new.is_ok(),
             old.is_ok()
         ),

@@ -11,7 +11,9 @@
 #
 # It patches every crates.io dependency from the command line (the root
 # `Cargo.toml` stays as it is) to a scratch copy of `perf/offline/` — the
-# tracked tree is read, never written — plus two crates that have no
+# tracked tree is read, never written; the copy's `Value` also compares by
+# reference with numbers and `bool`, as serde_json's does and unit tests
+# here write (`counts["plot"] == 2`) — plus two crates that have no
 # stand-in: an empty `criterion` and a type-checking shell of `proptest`
 # whose `proptest!` expands to nothing, so property tests compile away and
 # only appear in CI's list. The scratch crates live under the target
@@ -21,7 +23,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-PACKAGES=(xtract-core xtract-faas xtract-index xtract-obs xtract)
+PACKAGES=(xtract-core xtract-extractors xtract-faas xtract-index xtract-obs xtract-tika xtract)
 STANDINS=(serde serde_json bytes rand parking_lot crossbeam crossbeam-channel rayon)
 
 LOGS=$(mktemp -d)
@@ -33,6 +35,19 @@ rm -rf "$S"
 mkdir -p "$S"
 cp -rp perf/offline "$S/offline"
 rm -rf "$S/offline/target" "$S/offline/Cargo.lock"
+cat >> "$S/offline/serde/src/value.rs" <<'RS'
+
+macro_rules! ref_value_eq {
+    ($($ty:ty)*) => {$(
+        impl PartialEq<$ty> for &Value {
+            fn eq(&self, other: &$ty) -> bool {
+                **self == *other
+            }
+        }
+    )*};
+}
+ref_value_eq!(bool u8 u16 u32 u64 usize i8 i16 i32 i64 isize f32 f64);
+RS
 
 mkdir -p "$S/criterion/src" "$S/proptest/src"
 printf '[package]\nname = "criterion"\nversion = "0.5.99"\nedition = "2021"\n' > "$S/criterion/Cargo.toml"
