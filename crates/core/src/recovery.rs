@@ -18,11 +18,16 @@
 //! frame:
 //!
 //! ```text
-//! [len: u32 LE] [crc32: u32 LE] [payload: `len` bytes of JSON]
+//! [len: u32 LE] [crc32: u32 LE] [payload: `len` bytes]
 //! ```
 //!
 //! where the CRC (IEEE 802.3 polynomial, hand-rolled — no new deps)
-//! covers the payload only. A crash mid-write leaves a *torn tail*: a
+//! covers the payload only. The payload's first byte says how it reads:
+//! `{` is a JSON object, anything else the kind byte of a hand-written
+//! binary layout for the records that are most of a log's bytes (a planned
+//! family, a finished step, a migration; see `recovery/codec.rs`), so those
+//! are journaled and replayed without a JSON round trip while every log
+//! ever written still opens. A crash mid-write leaves a *torn tail*: a
 //! partial frame at the end of the active segment. [`RecoveryLog::open`]
 //! truncates the segment back to its last whole, checksum-valid record
 //! and reports the tear; torn bytes anywhere other than the tail of the
@@ -59,6 +64,8 @@
 //!
 //! [`XtractService::resume_job`]: crate::service::XtractService::resume_job
 //! [`XtractError::CheckpointCorrupt`]: xtract_types::XtractError::CheckpointCorrupt
+
+mod codec;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -363,8 +370,9 @@ pub enum RecoveryRecord {
         kind: ExtractorKind,
         /// The step's metadata output. Shared (`Arc`) with the owning
         /// family's step list, so journaling a result costs a pointer
-        /// bump, not a deep clone. Serializes transparently: the on-disk
-        /// frame is byte-identical to the pre-`Arc` format.
+        /// bump, not a deep clone. The `Arc` is transparent to the JSON
+        /// reader: a JSON frame written before the field was shared still
+        /// decodes (new frames of this variant are binary).
         metadata: Arc<Metadata>,
         /// Type discoveries the step reported — journaled so a resumed
         /// plan still extends with the extractors they imply (a replay
@@ -639,23 +647,35 @@ fn list_segments(dir: &Path) -> Result<Vec<u64>> {
     Ok(seqs)
 }
 
-/// Frames `record` into `buf` as `[len][crc][payload]`.
-fn frame_into(buf: &mut Vec<u8>, record: &RecoveryRecord) -> Result<()> {
-    let payload = serde_json::to_vec(record).map_err(|e| XtractError::Internal {
-        reason: format!("recovery record serialization: {e}"),
-    })?;
-    if payload.len() as u64 > MAX_FRAME_BYTES as u64 {
-        return Err(XtractError::Internal {
-            reason: format!(
-                "recovery record of {} bytes exceeds frame cap",
-                payload.len()
-            ),
-        });
-    }
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
+/// Frames one payload into `buf` as `[len][crc][payload]`: the header is
+/// reserved, `write` appends the payload behind it, and length and CRC are
+/// patched in, so a record never has a buffer of its own. A failed frame
+/// leaves `buf` as it found it.
+fn frame_with(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; HEADER_BYTES]);
+    let written = write(buf).and_then(|()| {
+        let len = buf.len() - at - HEADER_BYTES;
+        match u32::try_from(len) {
+            Ok(len) if len <= MAX_FRAME_BYTES => Ok(len),
+            _ => Err(XtractError::Internal {
+                reason: format!("recovery record of {len} bytes exceeds frame cap"),
+            }),
+        }
+    });
+    let Ok(len) = written else {
+        buf.truncate(at);
+        return written.map(drop);
+    };
+    let crc = crc32(&buf[at + HEADER_BYTES..]);
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    buf[at + 4..at + HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
     Ok(())
+}
+
+/// Frames `record` into `buf`.
+fn frame_into(buf: &mut Vec<u8>, record: &RecoveryRecord) -> Result<()> {
+    frame_with(buf, |out| codec::encode(out, record))
 }
 
 /// Outcome of decoding one segment's bytes.
@@ -714,9 +734,9 @@ fn scan_segment(buf: &[u8]) -> SegmentScan {
             if crc32(payload) != f.crc {
                 return (records, Some(i));
             }
-            match serde_json::from_slice::<RecoveryRecord>(payload) {
-                Ok(record) => records.push(record),
-                Err(_) => return (records, Some(i)),
+            match codec::decode(payload) {
+                Some(record) => records.push(record),
+                None => return (records, Some(i)),
             }
         }
         (records, None)
@@ -772,7 +792,7 @@ fn scan_dir(dir: &Path) -> Result<(Replay, Vec<u64>)> {
     for seq in &seqs {
         let path = segment_path(dir, *seq);
         let buf = std::fs::read(&path).map_err(|e| io_err("read segment", e))?;
-        let scan = scan_segment(&buf);
+        let mut scan = scan_segment(&buf);
         if scan.torn {
             if Some(*seq) != last {
                 return Err(XtractError::CheckpointCorrupt {
@@ -787,13 +807,13 @@ fn scan_dir(dir: &Path) -> Result<(Replay, Vec<u64>)> {
             replay.truncated_bytes = (buf.len() - scan.valid_len) as u64;
             replay.truncated_segment = Some(*seq);
         }
-        for record in scan.records {
-            if matches!(record, RecoveryRecord::SnapshotBoundary) {
-                replay.boundary = Some(replay.records.len());
-                replay.boundary_segment = Some(*seq);
-            }
-            replay.records.push(record);
+        let boundary = |r: &RecoveryRecord| matches!(r, RecoveryRecord::SnapshotBoundary);
+        if let Some(i) = scan.records.iter().rposition(boundary) {
+            replay.boundary = Some(replay.records.len() + i);
+            replay.boundary_segment = Some(*seq);
         }
+        // One reservation and one copy per segment, not a push per record.
+        replay.records.append(&mut scan.records);
     }
     Ok((replay, seqs))
 }
@@ -930,13 +950,31 @@ impl RecoveryLog {
         for record in records {
             frame_into(&mut buf, record)?;
         }
+        self.commit(&buf)
+    }
+
+    /// Group commit of a fresh plan: `crawl`, then one
+    /// [`RecoveryRecord::FamilyPlanned`] frame per family, framed from the
+    /// borrowed families — the plan is journaled without being cloned into
+    /// records first.
+    pub fn append_plan(&self, crawl: &RecoveryRecord, families: &[Family]) -> Result<()> {
+        let mut buf = Vec::with_capacity(families.len() * 256 + 64);
+        frame_into(&mut buf, crawl)?;
+        for family in families {
+            frame_with(&mut buf, |out| codec::encode_planned(out, family))?;
+        }
+        self.commit(&buf)
+    }
+
+    /// One lock, one write and at most one sync for `frames`.
+    fn commit(&self, frames: &[u8]) -> Result<()> {
         let mut w = self.inner.lock();
         self.check_fence(&w)?;
         if w.bytes >= self.policy.segment_bytes {
             self.rotate(&mut w)?;
         }
-        w.file.write_all(&buf).map_err(|e| io_err("append", e))?;
-        w.bytes += buf.len() as u64;
+        w.file.write_all(frames).map_err(|e| io_err("append", e))?;
+        w.bytes += frames.len() as u64;
         if self.policy.sync_each_commit {
             w.file.sync_data().map_err(|e| io_err("sync", e))?;
         }
@@ -1305,7 +1343,7 @@ mod tests {
             if crc32_bytewise(payload) != crc {
                 break;
             }
-            let Ok(record) = serde_json::from_slice::<RecoveryRecord>(payload) else {
+            let Some(record) = codec::decode(payload) else {
                 break;
             };
             records.push(record);
@@ -1319,32 +1357,76 @@ mod tests {
         }
     }
 
+    /// The frame every log written before the binary encoding holds, for
+    /// every variant: the JSON `frame_into` this module had then. The
+    /// oracle for "an old log still opens".
+    fn frame_json_into(buf: &mut Vec<u8>, record: &RecoveryRecord) {
+        let payload = serde_json::to_vec(record).unwrap();
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&crc32(&payload).to_le_bytes());
+        buf.extend_from_slice(&payload);
+    }
+
+    /// Which writer frames a test segment: today's, the JSON one, or the
+    /// two taking turns (a log begun by an old build and finished by this).
+    #[derive(Clone, Copy)]
+    enum Framing {
+        Current,
+        Json,
+        Mixed,
+    }
+
+    fn planned(i: u64) -> RecoveryRecord {
+        use xtract_types::{FileRecord, Group, GroupId};
+        let ep = EndpointId::new(i % 3);
+        let path = format!("/data/d{i}/t\u{e9}st \"{i}\".csv");
+        let file = FileRecord::new(path.clone(), i * 97, ep, FileType::Tabular);
+        let group = Group::new(GroupId::new(i), vec![path]);
+        RecoveryRecord::FamilyPlanned {
+            family: Family::new(FamilyId::new(i), vec![file], vec![group], ep),
+        }
+    }
+
     /// One segment's bytes holding enough frames that pass 2 of
     /// [`scan_segment`] fans out wherever there is a second core, plus the
     /// offset each frame starts at.
+    fn build_segment(framing: Framing) -> (Vec<u8>, Vec<usize>) {
+        let mut buf = Vec::new();
+        let mut starts = Vec::new();
+        let mut frame = |r: &RecoveryRecord| {
+            let json = match framing {
+                Framing::Current => false,
+                Framing::Json => true,
+                Framing::Mixed => starts.len() % 3 != 1,
+            };
+            starts.push(buf.len());
+            if json {
+                frame_json_into(&mut buf, r);
+            } else {
+                frame_into(&mut buf, r).unwrap();
+            }
+        };
+        frame(&RecoveryRecord::JobStarted { fingerprint: 11 });
+        for i in 0..2 * MIN_FRAMES_PER_THREAD as u64 + 300 {
+            match i % 8 {
+                0 | 4 => frame(&step(i, "keyword")),
+                1 => frame(&RecoveryRecord::RetryCharged {
+                    family: FamilyId::new(i),
+                    amount: 1 + (i % 3) as u32,
+                }),
+                5 => frame(&planned(i)),
+                2 | 6 => frame(&step(i, &"tabular".repeat(1 + (i % 5) as usize))),
+                _ => frame(&RecoveryRecord::WaveCommitted { wave: i }),
+            }
+        }
+        (buf, starts)
+    }
+
+    /// [`build_segment`] as this build writes it: binary frames for the
+    /// steps and the planned families, JSON for the rest.
     fn big_segment() -> &'static (Vec<u8>, Vec<usize>) {
         static SEGMENT: std::sync::OnceLock<(Vec<u8>, Vec<usize>)> = std::sync::OnceLock::new();
-        SEGMENT.get_or_init(|| {
-            let mut buf = Vec::new();
-            let mut starts = Vec::new();
-            let mut frame = |r: &RecoveryRecord| {
-                starts.push(buf.len());
-                frame_into(&mut buf, r).unwrap();
-            };
-            frame(&RecoveryRecord::JobStarted { fingerprint: 11 });
-            for i in 0..2 * MIN_FRAMES_PER_THREAD as u64 + 300 {
-                match i % 4 {
-                    0 => frame(&step(i, "keyword")),
-                    1 => frame(&RecoveryRecord::RetryCharged {
-                        family: FamilyId::new(i),
-                        amount: 1 + (i % 3) as u32,
-                    }),
-                    2 => frame(&step(i, &"tabular".repeat(1 + (i % 5) as usize))),
-                    _ => frame(&RecoveryRecord::WaveCommitted { wave: i }),
-                }
-            }
-            (buf, starts)
-        })
+        SEGMENT.get_or_init(|| build_segment(Framing::Current))
     }
 
     #[derive(Debug, Clone, Copy)]
@@ -1353,23 +1435,36 @@ mod tests {
         Cut(usize),
         /// This bit of this byte is inverted.
         Flip(usize, u8),
+        /// [`Damage::Flip`], and the frame's CRC recomputed over the
+        /// damaged payload: the checksum passes and the payload decoder
+        /// itself meets the garbage.
+        Resealed(usize, u8),
     }
 
-    fn damaged(buf: &[u8], damage: Damage) -> Vec<u8> {
-        match damage {
-            Damage::Cut(at) => buf[..at].to_vec(),
-            Damage::Flip(at, bit) => {
-                let mut out = buf.to_vec();
-                out[at] ^= 1 << bit;
-                out
+    fn damaged((buf, starts): &(Vec<u8>, Vec<usize>), damage: Damage) -> Vec<u8> {
+        let (at, bit) = match damage {
+            Damage::Cut(at) => return buf[..at].to_vec(),
+            Damage::Flip(at, bit) | Damage::Resealed(at, bit) => (at, bit),
+        };
+        let mut out = buf.to_vec();
+        out[at] ^= 1 << bit;
+        if matches!(damage, Damage::Resealed(..)) {
+            let frame = starts.partition_point(|&s| s <= at) - 1;
+            let payload = starts[frame] + HEADER_BYTES;
+            let end = starts.get(frame + 1).copied().unwrap_or(buf.len());
+            // A flip in the header stays a plain flip.
+            if at >= payload {
+                let crc = crc32(&out[payload..end]);
+                out[payload - 4..payload].copy_from_slice(&crc.to_le_bytes());
             }
         }
+        out
     }
 
-    /// The two-pass scan and the serial reader agree on `buf` after
+    /// The two-pass scan and the serial reader agree on `segment` after
     /// `damage`: same record prefix, same tear offset, same verdict.
-    fn assert_scans_agree(buf: &[u8], damage: Damage) {
-        let bytes = damaged(buf, damage);
+    fn assert_scans_agree(segment: &(Vec<u8>, Vec<usize>), damage: Damage) {
+        let bytes = damaged(segment, damage);
         let got = scan_segment(&bytes);
         let want = scan_segment_serial(&bytes);
         assert_eq!(got.torn, want.torn, "{damage:?}");
@@ -1379,7 +1474,8 @@ mod tests {
 
     #[test]
     fn damaged_segment_scans_exactly_like_the_serial_reader() {
-        let (buf, starts) = big_segment();
+        let segment = big_segment();
+        let (buf, starts) = segment;
         assert!(starts.len() >= 2048);
         let clean = scan_segment(buf);
         assert!(!clean.torn);
@@ -1387,29 +1483,91 @@ mod tests {
         assert_eq!(clean.records.len(), starts.len());
         assert!(clean.records == scan_segment_serial(buf).records);
 
-        // Every byte of a frame at the head, of the two frames either side
-        // of where pass 2 splits its runs on two cores, and of the last
-        // frame: cut there, and flip one bit there.
+        // Every byte of a frame at the head (JSON), of the two frames either
+        // side of where pass 2 splits its runs on two cores (a binary
+        // family and a binary step), and of the last frame: cut there, flip
+        // one bit there, and flip one under a CRC that then still passes.
         let split = starts.len().div_ceil(2);
         let mut rng = SmallRng::seed_from_u64(0x5eed_0001);
         for frame in [0, split - 1, split, starts.len() - 1] {
             let end = starts.get(frame + 1).copied().unwrap_or(buf.len());
             for at in starts[frame]..end {
-                assert_scans_agree(buf, Damage::Cut(at));
-                assert_scans_agree(buf, Damage::Flip(at, rng.gen_range(0..8)));
+                assert_scans_agree(segment, Damage::Cut(at));
+                assert_scans_agree(segment, Damage::Flip(at, rng.gen_range(0..8)));
+                assert_scans_agree(segment, Damage::Resealed(at, rng.gen_range(0..8)));
             }
         }
         // And anywhere.
         for _ in 0..48 {
             let at = rng.gen_range(0..buf.len());
-            assert_scans_agree(buf, Damage::Cut(at));
-            assert_scans_agree(buf, Damage::Flip(at, rng.gen_range(0..8)));
+            assert_scans_agree(segment, Damage::Cut(at));
+            assert_scans_agree(segment, Damage::Flip(at, rng.gen_range(0..8)));
+            assert_scans_agree(segment, Damage::Resealed(at, rng.gen_range(0..8)));
         }
     }
 
     #[test]
+    fn a_resealed_flip_is_a_tear_or_a_record_never_a_panic() {
+        // The CRC vouches for the damaged payload, so what stands between
+        // the garbage and the replay is the payload decoder alone: the
+        // frame either decodes (to a different record) or is the tear, and
+        // every frame before it is untouched.
+        let segment = big_segment();
+        let (buf, starts) = segment;
+        let clean = scan_segment(buf).records;
+        let mut rng = SmallRng::seed_from_u64(0x5eed_0003);
+        let (mut tears, mut survivors) = (0, 0);
+        for _ in 0..160 {
+            let frame = rng.gen_range(0..starts.len());
+            let end = starts.get(frame + 1).copied().unwrap_or(buf.len());
+            let at = rng.gen_range(starts[frame] + HEADER_BYTES..end);
+            let scan = scan_segment(&damaged(segment, Damage::Resealed(at, rng.gen_range(0..8))));
+            assert!(scan.records[..frame] == clean[..frame]);
+            if scan.torn {
+                tears += 1;
+                assert_eq!((scan.valid_len, scan.records.len()), (starts[frame], frame));
+            } else {
+                survivors += 1;
+                assert_eq!(scan.records.len(), clean.len());
+                assert!(scan.records[frame] != clean[frame]);
+            }
+        }
+        assert!(
+            tears > 0 && survivors > 0,
+            "{tears} tears, {survivors} survivors"
+        );
+    }
+
+    #[test]
+    fn json_binary_and_mixed_segments_replay_alike() {
+        let (current, starts) = big_segment();
+        let want = scan_segment(current).records;
+        // The first step really is a binary frame, and the segment is the
+        // smaller for it.
+        assert_ne!(current[starts[1] + HEADER_BYTES], b'{');
+        let dir = tempdir("framings");
+        for framing in [Framing::Json, Framing::Mixed] {
+            let (buf, _) = build_segment(framing);
+            assert!(buf.len() > current.len());
+            let scan = scan_segment(&buf);
+            assert!(!scan.torn);
+            assert!(scan.records == want);
+            // Through the directory reader, with the current writer's
+            // segment after it: one log, begun by an older build.
+            std::fs::write(segment_path(&dir, 0), &buf).unwrap();
+            std::fs::write(segment_path(&dir, 1), current).unwrap();
+            let replay = RecoveryLog::scan(&dir).unwrap();
+            assert_eq!((replay.segments, replay.truncated_records), (2, 0));
+            assert!(replay.records[..want.len()] == want[..]);
+            assert!(replay.records[want.len()..] == want[..]);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn damage_reaches_replay_as_a_tear_only_in_the_final_segment() {
-        let (buf, starts) = big_segment();
+        let segment = big_segment();
+        let (buf, starts) = segment;
         let dir = tempdir("two-pass-dir");
         let mut head = Vec::new();
         frame_into(&mut head, &step(1, "keyword")).unwrap();
@@ -1417,7 +1575,7 @@ mod tests {
         for _ in 0..6 {
             let at = rng.gen_range(0..buf.len());
             for damage in [Damage::Cut(at), Damage::Flip(at, rng.gen_range(0..8))] {
-                let bytes = damaged(buf, damage);
+                let bytes = damaged(segment, damage);
                 let want = scan_segment_serial(&bytes);
                 // Final segment: a tear, reported and survivable.
                 std::fs::write(segment_path(&dir, 0), &head).unwrap();
@@ -1832,9 +1990,9 @@ mod tests {
             bit in 0u8..8,
             cut in any::<bool>(),
         ) {
-            let (buf, _) = big_segment();
-            let at = at % buf.len();
-            assert_scans_agree(buf, if cut { Damage::Cut(at) } else { Damage::Flip(at, bit) });
+            let segment = big_segment();
+            let at = at % segment.0.len();
+            assert_scans_agree(segment, if cut { Damage::Cut(at) } else { Damage::Flip(at, bit) });
         }
 
         #[test]

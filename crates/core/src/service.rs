@@ -50,7 +50,7 @@ use crate::resilience::{BreakerState, HealthTracker, RetryLedger};
 use crate::shard::{Migrant, ShardLink};
 use crate::staging::{stage_salt_base, StageOutcome, StageRequest, StagedFamily};
 use crate::tenancy::TenantCtx;
-use crate::validator::{encode_record, validate_owned};
+use crate::validator::validate_and_encode;
 use bytes::Bytes;
 use crossbeam_channel::unbounded;
 use parking_lot::Mutex;
@@ -736,7 +736,7 @@ impl XtractService {
     /// re-encoded for the alternative endpoint's registered function).
     fn submit_hedge(&self, batch: &XtractBatch, alt: EndpointId) -> Result<TaskId> {
         let function = self.function_for(batch.extractor, alt)?;
-        let ids = self.faas.batch_submit(&[TaskSpec {
+        let ids = self.faas.batch_submit_owned(vec![TaskSpec {
             function,
             endpoint: alt,
             payload: encode_batch(batch, false),
@@ -1014,18 +1014,12 @@ impl XtractService {
         report.phases.add(Phase::Crawl, t1 - t0);
         report.phase_spans.push((Phase::Crawl, t0, t1));
         if let (Some(ctx), false) = (rec, replay) {
-            let mut batch = Vec::with_capacity(families.len() + 1);
-            batch.push(RecoveryRecord::CrawlCompleted {
+            let crawl = RecoveryRecord::CrawlCompleted {
                 crawled_files: report.crawled_files,
                 groups: report.groups,
                 redundant_files: report.redundant_files,
-            });
-            batch.extend(
-                families
-                    .iter()
-                    .map(|f| RecoveryRecord::FamilyPlanned { family: f.clone() }),
-            );
-            ctx.log.append_batch(&batch)?;
+            };
+            ctx.log.append_plan(&crawl, &families)?;
         }
         Ok(families)
     }
@@ -1956,7 +1950,7 @@ impl XtractService {
                             members.iter().map(|(_, fams, _)| fams.len() as u64).sum();
                         t.charge(QuotaResource::Invocations, invocations)?;
                     }
-                    let ids = self.faas.batch_submit(&specs);
+                    let ids = self.faas.batch_submit_owned(specs);
                     for (id, (kind, fams, batch)) in ids.into_iter().zip(members) {
                         *report
                             .invocations
@@ -2001,10 +1995,13 @@ impl XtractService {
                 let mut wave_lat: BTreeMap<EndpointId, Vec<f64>> = BTreeMap::new();
                 let productive =
                     |s: &TaskStatus| matches!(s, TaskStatus::Done(_) | TaskStatus::Failed(_));
+                // Entries still unsettled, in entry order: a poll asks only
+                // about these, and reads the answers back in the same order.
+                let mut open: Vec<usize> = (0..entries.len()).collect();
                 loop {
-                    let outstanding: Vec<TaskId> = entries
+                    let outstanding: Vec<TaskId> = open
                         .iter()
-                        .filter(|e| e.resolved.is_none())
+                        .map(|&i| &entries[i])
                         .flat_map(|e| std::iter::once(e.id).chain(e.hedge.map(|(h, _)| h)))
                         .collect();
                     if outstanding.is_empty() {
@@ -2014,38 +2011,24 @@ impl XtractService {
                     // tuned chunk, so poll fan-out tracks dispatch
                     // fan-out; static mode polls everything in one
                     // request, exactly as before.
-                    let mut status: HashMap<TaskId, TaskStatus> = match wave_poll_chunk {
-                        Some(chunk) if chunk < outstanding.len() => {
-                            let mut m = HashMap::with_capacity(outstanding.len());
-                            for ids in outstanding.chunks(chunk.max(1)) {
-                                m.extend(
-                                    self.faas
-                                        .batch_poll(ids)
-                                        .into_iter()
-                                        .map(|p| (p.id, p.status)),
-                                );
-                            }
-                            m
-                        }
-                        _ => self
-                            .faas
-                            .batch_poll(&outstanding)
-                            .into_iter()
-                            .map(|p| (p.id, p.status))
+                    let polled = match wave_poll_chunk {
+                        Some(chunk) if chunk < outstanding.len() => outstanding
+                            .chunks(chunk.max(1))
+                            .flat_map(|ids| self.faas.batch_poll(ids))
                             .collect(),
+                        _ => self.faas.batch_poll(&outstanding),
                     };
+                    let mut polled = polled.into_iter().map(|p| p.status);
                     let closing = wave_started.elapsed() >= window;
-                    for e in entries.iter_mut() {
-                        if e.resolved.is_some() {
-                            continue;
-                        }
+                    for &i in &open {
+                        let e = &mut entries[i];
                         // Each status is moved out of this iteration's poll
                         // result: the entry that settles on it owns it.
                         let home = e.batch.endpoint;
-                        let primary = status.remove(&e.id).unwrap_or(TaskStatus::Unknown);
+                        let primary = polled.next().unwrap_or(TaskStatus::Unknown);
                         let hedge_status = e
                             .hedge
-                            .map(|(h, ep)| (status.remove(&h).unwrap_or(TaskStatus::Unknown), ep));
+                            .map(|(_, ep)| (polled.next().unwrap_or(TaskStatus::Unknown), ep));
                         if productive(&primary) {
                             // The original got there first: a hedge still
                             // in flight lost the race and is cancelled so
@@ -2178,7 +2161,8 @@ impl XtractService {
                             }
                         }
                     }
-                    if closing || entries.iter().all(|e| e.resolved.is_some()) {
+                    open.retain(|&i| entries[i].resolved.is_none());
+                    if closing || open.is_empty() {
                         break;
                     }
                     std::thread::sleep(Duration::from_millis(1));
@@ -2672,19 +2656,16 @@ impl XtractService {
             }
             // The document is folded here, once, and moved into the record.
             let extractors = extractors_of(&steps);
-            let outcome = validate_owned(
+            let outcome = validate_and_encode(
                 &af.family,
                 fold_steps(steps.into_iter().map(|s| s.metadata)),
                 extractors,
                 &spec.validation,
             );
             match outcome {
-                Ok(record) => {
+                Ok((record, bytes)) => {
                     let path = format!("/metadata/fam-{}.json", af.family.id.raw());
-                    match dest
-                        .backend
-                        .write(&path, Bytes::from(encode_record(&record)))
-                    {
+                    match dest.backend.write(&path, Bytes::from(bytes)) {
                         Ok(()) => report.records.push(record),
                         Err(e) => report.failures.push(DeadLetter::new(
                             af.family.id,

@@ -32,7 +32,7 @@ pub const MDF_SCHEMAS: [&str; 12] = [
 
 /// Validates (and optionally transforms) a family's merged metadata,
 /// leaving the caller's document and provenance list untouched. This is
-/// the copying wrapper over [`validate_owned`], which stage 7 calls.
+/// the copying wrapper over [`validate_owned`].
 pub fn validate(
     family: &Family,
     merged: &Metadata,
@@ -52,24 +52,53 @@ pub fn validate_owned(
     extractors: Vec<String>,
     schema: &ValidationSchema,
 ) -> Result<MetadataRecord> {
+    let record = transform(family, merged, extractors, schema)?;
+    if matches!(schema, ValidationSchema::Passthrough) {
+        // Passthrough: the dictionary must serialize to valid JSON —
+        // true by construction, but verify it to honour the contract.
+        // Only success matters, so the bytes stream into a sink.
+        serde_json::to_writer(std::io::sink(), &record.document)
+            .map_err(|e| unserializable(&record, e))?;
+    }
+    Ok(record)
+}
+
+/// [`validate_owned`] plus [`encode_record`] in one serialization, for
+/// stage 7: the bytes that ship are the proof that the record serializes,
+/// so a document is rendered once, not once to check and once to send.
+pub fn validate_and_encode(
+    family: &Family,
+    merged: Metadata,
+    extractors: Vec<String>,
+    schema: &ValidationSchema,
+) -> Result<(MetadataRecord, Vec<u8>)> {
+    let record = transform(family, merged, extractors, schema)?;
+    let bytes = serde_json::to_vec_pretty(&record).map_err(|e| unserializable(&record, e))?;
+    Ok((record, bytes))
+}
+
+fn unserializable(record: &MetadataRecord, e: serde_json::Error) -> XtractError {
+    XtractError::ValidationFailed {
+        schema: record.schema.clone(),
+        reason: e.to_string(),
+    }
+}
+
+/// The schema's checks and transformation, short of proving that the
+/// result serializes.
+fn transform(
+    family: &Family,
+    merged: Metadata,
+    extractors: Vec<String>,
+    schema: &ValidationSchema,
+) -> Result<MetadataRecord> {
     match schema {
-        ValidationSchema::Passthrough => {
-            // Passthrough: the dictionary must serialize to valid JSON —
-            // true by construction, but verify it to honour the contract.
-            // Only success matters, so the bytes stream into a sink.
-            serde_json::to_writer(std::io::sink(), &merged).map_err(|e| {
-                XtractError::ValidationFailed {
-                    schema: "passthrough".to_string(),
-                    reason: e.to_string(),
-                }
-            })?;
-            Ok(MetadataRecord {
-                family: family.id,
-                schema: "passthrough".to_string(),
-                document: merged,
-                extractors,
-            })
-        }
+        ValidationSchema::Passthrough => Ok(MetadataRecord {
+            family: family.id,
+            schema: "passthrough".to_string(),
+            document: merged,
+            extractors,
+        }),
         ValidationSchema::Mdf(name) => {
             if !MDF_SCHEMAS.contains(&name.as_str()) {
                 return Err(XtractError::ValidationFailed {

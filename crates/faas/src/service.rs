@@ -172,8 +172,16 @@ impl FaasService {
     /// registry, and routed to their endpoints' queues. Per-task failures
     /// (unknown function, incompatible or disconnected endpoint) surface
     /// as immediately-`Failed` tasks rather than failing the batch, so one
-    /// bad spec cannot sink its batch-mates.
+    /// bad spec cannot sink its batch-mates. This is the copying wrapper
+    /// over [`Self::batch_submit_owned`], for a caller that keeps its specs.
     pub fn batch_submit(&self, specs: &[TaskSpec]) -> Vec<TaskId> {
+        self.batch_submit_owned(specs.to_vec())
+    }
+
+    /// [`Self::batch_submit`] over specs the caller gives up: each payload
+    /// is *moved* into its endpoint's queue, so a task's input tree is
+    /// built once and never copied on the submitting thread.
+    pub fn batch_submit_owned(&self, specs: Vec<TaskSpec>) -> Vec<TaskId> {
         // An empty batch is not a web-service request: nothing is sent, so
         // nothing may be counted (the old accounting skewed the Fig. 5 /
         // `micro_batching` request numbers).
@@ -191,7 +199,9 @@ impl FaasService {
             });
         }
         let op = self.submit_ops.fetch_add(1, Ordering::Relaxed);
-        let plan = self.fault.read().clone();
+        // Read in place for the whole request (nothing below takes this
+        // lock again): an armed plan is not copied per submit.
+        let plan = self.fault.read();
         // Scheduled allocation expiries fire immediately before the batch
         // routes, so chaos tests can land a lease lapse deterministically
         // mid-wave (the campaign counterpart of a wall-clock expiry).
@@ -234,7 +244,7 @@ impl FaasService {
         out
     }
 
-    fn route(&self, id: TaskId, spec: &TaskSpec) -> Result<()> {
+    fn route(&self, id: TaskId, spec: TaskSpec) -> Result<()> {
         let function = self.registry.resolve(spec.function, spec.endpoint)?;
         let ep = self
             .endpoint(spec.endpoint)
@@ -245,7 +255,7 @@ impl FaasService {
             task: id,
             container: function.container,
             body: function.body,
-            payload: spec.payload.clone(),
+            payload: spec.payload,
         })
     }
 
@@ -537,6 +547,40 @@ mod tests {
         assert!(r.svc.stats().ws_requests.get() >= 2);
         assert_eq!(r.svc.stats().tasks_submitted.get(), 10);
         assert_eq!(r.svc.stats().batches_submitted.get(), 1);
+    }
+
+    #[test]
+    fn an_owned_submit_hands_the_function_the_callers_allocation() {
+        // The body reports where the string inside its input lives: the
+        // owned form moves the payload to the worker, the borrowing form
+        // can only give it a copy.
+        let registry = Arc::new(FunctionRegistry::new());
+        let ep = EndpointId::new(0);
+        registry.declare_endpoint(ep, ContainerRuntime::Docker);
+        let c = registry.register_container("addr:1", ContainerRuntime::Docker, 0);
+        let body: FunctionBody =
+            Arc::new(|v| Ok(json!(v["text"].as_str().unwrap().as_ptr() as usize)));
+        let f = registry.register_function("addr", c, &[ep], body).unwrap();
+        let svc = FaasService::new(registry);
+        svc.connect_endpoint(EndpointConfig::instant(ep, 1));
+        let seen = |ids: &[TaskId]| -> usize {
+            assert!(svc.wait_all(ids, Duration::from_secs(5)));
+            match &svc.batch_poll(ids)[0].status {
+                TaskStatus::Done(out) => out.value.as_u64().unwrap() as usize,
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        let spec = || TaskSpec {
+            function: f,
+            endpoint: ep,
+            payload: json!({"text": "a family tree, built once"}),
+        };
+        let owned = spec();
+        let allocated = owned.payload["text"].as_str().unwrap().as_ptr() as usize;
+        assert_eq!(seen(&svc.batch_submit_owned(vec![owned])), allocated);
+        let kept = [spec()];
+        let allocated = kept[0].payload["text"].as_str().unwrap().as_ptr() as usize;
+        assert_ne!(seen(&svc.batch_submit(&kept)), allocated);
     }
 
     #[test]

@@ -672,6 +672,91 @@ fn a_log_in_the_older_snapshot_order_resumes_to_the_same_documents() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The first payload byte of every frame in the segments under `dir`.
+fn frame_kinds(dir: &Path) -> Vec<u8> {
+    let bytes = wal_bytes(dir);
+    let (mut kinds, mut at) = (Vec::new(), 0);
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        kinds.push(bytes[at + 8]);
+        at += 8 + len;
+    }
+    kinds
+}
+
+#[test]
+fn a_log_of_json_frames_and_todays_log_resume_to_the_uninterrupted_runs_documents() {
+    // A job killed two waves in leaves a log whose plan and steps are
+    // binary frames. The same records framed the way every build before
+    // the binary encoding framed them (JSON, `[len][crc][payload]`) are
+    // the log an upgrade finds on disk. Both resume to the report an
+    // uninterrupted run returns, float for float.
+    let files = tables(6, 24);
+    let (svc, token, spec) = rig(files.clone(), 2);
+    let baseline = svc.run_job(token, &spec).unwrap();
+    assert_eq!(baseline.records.len(), 6);
+
+    let run_dir = tempdir("frames-binary");
+    let (svc, token, mut killed) = rig(files.clone(), 2);
+    killed.fault_plan = Some(FaultPlan {
+        orchestrator_crashes: vec![OrchestratorCrash {
+            point: CrashPoint::MidWave,
+            at_occurrence: 2,
+        }],
+        ..FaultPlan::new(3)
+    });
+    let err = svc
+        .run_job_with_recovery(token, &killed, &run_dir)
+        .unwrap_err();
+    assert!(matches!(err, XtractError::OrchestratorKilled { .. }));
+    let journal = RecoveryLog::scan(&run_dir).unwrap().records;
+    let hot = |r: &&RecoveryRecord| {
+        matches!(
+            r,
+            RecoveryRecord::FamilyPlanned { .. } | RecoveryRecord::StepCompleted { .. }
+        )
+    };
+    assert_eq!(journal.iter().filter(hot).count(), 6 + 12);
+    let kinds = frame_kinds(&run_dir);
+    assert_eq!(kinds.len(), journal.len());
+    assert_eq!(kinds.iter().filter(|&&k| k != b'{').count(), 6 + 12);
+
+    let json_dir = tempdir("frames-json");
+    let mut segment = Vec::new();
+    for record in &journal {
+        let payload = serde_json::to_vec(record).unwrap();
+        segment.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        segment.extend_from_slice(&xtract_core::recovery::crc32(&payload).to_le_bytes());
+        segment.extend_from_slice(&payload);
+    }
+    std::fs::write(json_dir.join("wal-000000.log"), &segment).unwrap();
+    assert!(frame_kinds(&json_dir).iter().all(|&k| k == b'{'));
+    assert!(RecoveryLog::scan(&json_dir).unwrap().records == journal);
+
+    let rendered = |report: &JobReport| -> Vec<(FamilyId, String)> {
+        let mut docs: Vec<_> = report
+            .records
+            .iter()
+            .map(|r| (r.family, serde_json::to_string(r).unwrap()))
+            .collect();
+        docs.sort();
+        docs
+    };
+    for dir in [&run_dir, &json_dir] {
+        let (svc, token, _) = rig(files.clone(), 2);
+        let report = svc.resume_job(token, &killed, dir).unwrap();
+        assert!(report.resumed);
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        assert_eq!(report.invocations.get("keyword"), None);
+        assert_eq!(report.invocations.get("tabular"), None);
+        assert_eq!(report.invocations["null-value"], 6);
+        assert_eq!(rendered(&report), rendered(&baseline));
+        assert_documents_are_journal_folds(&report, std::slice::from_ref(dir));
+        assert_nothing_tracked(&svc);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 /// Every byte of every WAL segment under `dir`, in segment order.
 fn wal_bytes(dir: &Path) -> Vec<u8> {
     let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
