@@ -53,7 +53,9 @@
 //!
 //! * [`service`] — the **live** `XtractService`: real crawler threads,
 //!   real FaaS workers parsing real bytes, real transfers between
-//!   in-memory endpoints;
+//!   in-memory endpoints; `engine` (private) is its wave engine — one
+//!   job-state struct and the fixed stage sequence `run_job_inner` calls
+//!   (see `DESIGN.md`, "Wave engine");
 //! * [`campaign`] — the **simulated** campaign runner: the same policies
 //!   driven by `xtract-sim`'s calibrated clock for paper-scale
 //!   experiments (8 192 workers, 2.5 M groups) — see `DESIGN.md`,
@@ -68,6 +70,7 @@ pub mod batcher;
 pub mod campaign;
 pub mod crawlmodel;
 pub mod dedup;
+mod engine;
 pub mod families;
 pub mod jobs;
 pub mod offload;

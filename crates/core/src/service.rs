@@ -25,52 +25,51 @@
 //!    semantics, §5.8.1). A family's own step list is the checkpoint: its
 //!    plan cursor advances with the step that completes it, so a
 //!    resubmitted family never repeats work that already flushed. A
-//!    [`HealthTracker`] watches every endpoint: enough consecutive
-//!    failures open its circuit breaker, families parked on a dark
-//!    endpoint reroute to a healthy one (bytes re-staged from the
+//!    [`crate::resilience::HealthTracker`] watches every endpoint: enough
+//!    consecutive failures open its circuit breaker, families parked on a
+//!    dark endpoint reroute to a healthy one (bytes re-staged from the
 //!    origin), and a [`RetryLedger`] bounds each family's total attempts;
 //! 7. fold each family's document from its steps, **validate** it into
 //!    a record and ship that to the destination endpoint's `/metadata/`
 //!    prefix (§3 "Validation").
+//!
+//! Stages 4-7 run on the wave engine (`engine.rs`): this file holds the
+//! service, the job entry points, the crawl, the recovery-log open and the
+//! prefetcher a staging worker runs.
 //!
 //! Failure semantics: the orchestrator never panics on a faulted
 //! substrate. Every family a job ingests terminates in exactly one of
 //! the report's `records` (success) or `failures` (a typed
 //! [`DeadLetter`]) — the chaos tests assert this partition at every
 //! injected fault rate.
+#![warn(clippy::too_many_lines)]
 
-use crate::adaptive::{AdaptiveTuner, BatchLimits, TuneDecision, WaveEvidence};
-use crate::batcher::{Batcher, XtractBatch};
+use crate::engine::{JobLink, WaveEngine};
 use crate::families::build_families;
-use crate::offload::{Offloader, Placement};
-use crate::payload::{decode_owned, encode_batch, make_function_body, FamilyResult};
-use crate::planner::ExtractionPlan;
+use crate::payload::make_function_body;
 use crate::recovery::{spec_fingerprint, MigratedStep, RecoveryLog, RecoveryRecord};
-use crate::resilience::{BreakerState, HealthTracker, RetryLedger};
-use crate::shard::{Migrant, ShardLink};
-use crate::staging::{stage_salt_base, StageOutcome, StageRequest, StagedFamily};
+use crate::resilience::RetryLedger;
+use crate::shard::ShardLink;
+use crate::staging::{StageOutcome, StageRequest, StagedFamily};
 use crate::tenancy::TenantCtx;
-use crate::validator::validate_and_encode;
-use bytes::Bytes;
 use crossbeam_channel::unbounded;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xtract_crawler::{Crawler, CrawlerConfig};
 use xtract_datafabric::{AuthService, DataFabric, Scope, Token, TransferRequest, TransferService};
 use xtract_extractors::{library, Extractor};
-use xtract_faas::{EndpointConfig, FaasService, FunctionRegistry, TaskSpec, TaskStatus};
+use xtract_faas::{EndpointConfig, FaasService, FunctionRegistry};
 use xtract_index::SearchIndex;
-use xtract_obs::{Event, EventJournal, Histogram, Obs, Phase, PhaseTimings, SpanUnion};
+use xtract_obs::{Event, Obs, Phase, PhaseTimings};
 use xtract_sim::RngStreams;
 use xtract_types::id::IdAllocator;
 use xtract_types::{
-    ContainerId, CrashPoint, DeadLetter, EndpointId, EndpointSpec, ExtractorKind, FailureEvent,
-    FailureReason, Family, FamilyId, FaultPlan, FileRecord, FunctionId, HedgePolicy, JobSpec,
-    Metadata, MetadataRecord, OrchestratorCrash, QuotaResource, Result, RetryPolicy, TaskId,
-    XtractError,
+    ContainerId, DeadLetter, EndpointId, EndpointSpec, ExtractorKind, FailureReason, Family,
+    FamilyId, FaultPlan, FileRecord, FunctionId, JobSpec, MetadataRecord, QuotaResource, Result,
+    RetryPolicy, XtractError,
 };
 
 /// Outcome of one job. Serde: a cross-process shard worker returns its
@@ -125,131 +124,6 @@ pub struct JobReport {
     pub stolen_families: u64,
     /// Shard wave loops that died mid-run and had their work adopted.
     pub shard_deaths: u64,
-}
-
-struct ActiveFamily {
-    family: Family,
-    plan: ExtractionPlan,
-    /// Every completed step, in completion order — the only in-memory
-    /// record of a finished step: replayed and carried steps land here by
-    /// value, snapshots restate it, a donation moves it out with the
-    /// family, and the family's document is the fold of its metadata
-    /// ([`fold_steps`]), built where it is consumed.
-    steps: Vec<MigratedStep>,
-    exec: EndpointId,
-    attempts: HashMap<ExtractorKind, u32>,
-    failed: Option<FailureReason>,
-    timeline: Vec<FailureEvent>,
-    /// The family's file records before any staging rewrite, kept so a
-    /// reroute can re-stage the bytes from their true home.
-    origin_files: Vec<FileRecord>,
-    /// Where those records live.
-    origin_source: EndpointId,
-    /// True while a staging request for this family is in flight on the
-    /// pool; the wave loop skips the family until its outcome lands.
-    staging: bool,
-    /// Every `(endpoint, base_path)` the family was ever staged under —
-    /// not just the current one, so cleanup after a reroute also removes
-    /// the copies abandoned on the endpoint that went dark.
-    staged_sites: Vec<(EndpointId, String)>,
-    /// 0 for the initial staging pass, bumped per breaker-reroute
-    /// restage; also decorrelates fault salts across generations.
-    stage_generation: u32,
-    /// Extractor steps that consumed their one free deadline extension:
-    /// a merely-slow (not provably lost) straggler at poll-window expiry
-    /// is resubmitted once without charging the retry budget; the second
-    /// overrun charges like any other loss.
-    extended: HashSet<ExtractorKind>,
-    /// The family was donated to another shard: its out-record is
-    /// durable and the recipient owns it. The wave loop treats it as
-    /// terminal-here — never dispatched, dead-lettered, or shipped.
-    migrated: bool,
-}
-
-/// The folded document of a family: its steps' metadata deep-merged in
-/// completion order (objects merge recursively, any other value of a later
-/// step wins). The first step is taken over rather than copied when this is
-/// the last handle to it, so a single-step family's decoded result *is*
-/// its document.
-fn fold_steps(steps: impl IntoIterator<Item = Arc<Metadata>>) -> Metadata {
-    let mut steps = steps.into_iter();
-    let Some(first) = steps.next() else {
-        return Metadata::new();
-    };
-    let mut document = Arc::unwrap_or_clone(first);
-    for step in steps {
-        document.merge(&step);
-    }
-    document
-}
-
-/// The provenance list of a family: the extractors behind its steps, in
-/// completion order.
-fn extractors_of(steps: &[MigratedStep]) -> Vec<String> {
-    steps.iter().map(|s| s.kind.name().to_string()).collect()
-}
-
-/// A family's merged-so-far document as the serving index holds it between
-/// waves, under schema `"live"` (validation replaces it with the final
-/// record).
-fn live_record(family: FamilyId, steps: &[MigratedStep]) -> MetadataRecord {
-    MetadataRecord {
-        family,
-        schema: "live".to_string(),
-        document: fold_steps(steps.iter().map(|s| Arc::clone(&s.metadata))),
-        extractors: extractors_of(steps),
-    }
-}
-
-/// What the wave loop keeps of a settled task: the decoded results of a
-/// `Done` — never the output itself — or why there are none.
-enum Resolution {
-    /// The function returned; its result list, decoded when it settled.
-    Done(Result<Vec<FamilyResult>>),
-    Failed(XtractError),
-    Lost,
-    Cancelled,
-    Unknown,
-    /// Still `Pending`/`Running` when the poll window closed.
-    Slow,
-}
-
-impl Resolution {
-    /// Takes a polled status apart. A `Done` output is decoded by value:
-    /// the caller has made the fabric forget the task, so this is the last
-    /// handle and the worker's allocation moves into the results.
-    fn of(status: TaskStatus) -> Self {
-        match status {
-            TaskStatus::Done(out) => Self::Done(decode_owned(Arc::unwrap_or_clone(out.value))),
-            TaskStatus::Failed(e) => Self::Failed(e),
-            TaskStatus::Lost => Self::Lost,
-            TaskStatus::Cancelled => Self::Cancelled,
-            TaskStatus::Unknown => Self::Unknown,
-            TaskStatus::Pending | TaskStatus::Running => Self::Slow,
-        }
-    }
-}
-
-/// One submitted funcX task in the current wave, plus its speculative
-/// hedge (if any) and its resolution. The first *productive* terminal
-/// status (`Done`/`Failed`) between primary and hedge wins; the loser is
-/// cancelled, so only the winner's output is ever decoded — metadata,
-/// completed steps, and invocation counts can never double-count a
-/// `(family, extractor)` pair.
-struct WaveEntry {
-    id: TaskId,
-    kind: ExtractorKind,
-    fams: Vec<FamilyId>,
-    /// The original Xtract batch, kept so a hedge can re-encode the same
-    /// payload for a different endpoint.
-    batch: XtractBatch,
-    /// The speculative duplicate: `(task, endpoint)`.
-    hedge: Option<(TaskId, EndpointId)>,
-    /// How the entry settled and the endpoint that settled it.
-    resolved: Option<(Resolution, EndpointId)>,
-    /// The deadline breach already scored this entry's endpoint (breach
-    /// accounting and hedge launch are one-shot per entry).
-    breached: bool,
 }
 
 /// The recovery log a run borrows, plus what opening it found. Built once
@@ -403,194 +277,18 @@ impl Replayed {
     }
 }
 
-/// The run's armed scheduled-crash entry, if any: entry `k` of
-/// [`FaultPlan::orchestrator_crashes`] arms once `k` crashes are already
-/// in the log, and fires at its `at_occurrence`-th pass of its point
-/// (occurrences counted from the start of this run segment).
-#[derive(Default)]
-struct CrashSchedule {
-    armed: Option<OrchestratorCrash>,
-    seen: u64,
-}
-
-impl CrashSchedule {
-    fn arm(plan: Option<&FaultPlan>, crashes_done: u64) -> Self {
-        Self {
-            armed: plan.and_then(|p| p.scheduled_crash(crashes_done)).copied(),
-            seen: 0,
-        }
-    }
-
-    /// Reports a pass of `point`; true when the armed kill fires here.
-    fn hit(&mut self, point: CrashPoint) -> bool {
-        match self.armed {
-            Some(c) if c.point == point => {
-                self.seen += 1;
-                self.seen >= c.at_occurrence
-            }
-            _ => false,
-        }
-    }
-}
-
-/// The error a scheduled kill surfaces as.
-fn killed(point: CrashPoint) -> XtractError {
-    XtractError::OrchestratorKilled {
-        point: point.name().to_string(),
-    }
-}
-
-/// A `CrashRecorded` record for `point`.
-fn crash_record(point: CrashPoint) -> RecoveryRecord {
-    RecoveryRecord::CrashRecorded {
-        point: point.name().to_string(),
-    }
-}
-
-/// Bucket bounds (seconds) for the completion-latency histogram the
-/// adaptive deadline derives from.
-const LATENCY_BOUNDS_S: &[f64] = &[
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
-];
-
-/// The wave's adaptive per-task deadline: the observed completion-latency
-/// quantile times the policy multiplier, clamped to the policy floor and
-/// ceiling (and never past the hard poll window). Falls back to the
-/// ceiling until enough samples accumulate, and to the flat poll window
-/// when the straggler defense is disabled.
-fn adaptive_deadline(latency: &Histogram, hedge: &HedgePolicy, retry: &RetryPolicy) -> Duration {
-    if !hedge.enabled {
-        return Duration::from_millis(retry.poll_window_ms);
-    }
-    let ceiling = hedge.deadline_ceiling_ms.min(retry.poll_window_ms).max(1);
-    if latency.count() >= hedge.min_latency_samples {
-        if let Some(q) = latency.quantile(hedge.latency_quantile) {
-            let ms = (q * 1000.0 * hedge.deadline_multiplier).ceil() as u64;
-            return Duration::from_millis(ms.max(hedge.deadline_floor_ms).min(ceiling));
-        }
-    }
-    Duration::from_millis(ceiling)
-}
-
-/// Charges one lost/crashed step against every family in a funcX task:
-/// the step stays pending (the next wave resubmits with a fresh task id)
-/// until the per-step or per-family budget runs out, at which point the
-/// family dead-letters with [`FailureReason::RetryBudgetExhausted`].
-#[allow(clippy::too_many_arguments)]
-fn charge_step_loss(
-    active: &mut [ActiveFamily],
-    index: &HashMap<FamilyId, usize>,
-    fams: &[FamilyId],
-    kind: ExtractorKind,
-    error: &XtractError,
-    note: &str,
-    retry: &RetryPolicy,
-    ledger: &mut RetryLedger,
-    health: &mut HealthTracker,
-    report: &mut JobReport,
-    journal: &EventJournal,
-) {
-    let mut endpoint = None;
-    for fid in fams {
-        let Some(&i) = index.get(fid) else { continue };
-        let af = &mut active[i];
-        endpoint = Some(af.exec);
-        report.resubmitted += 1;
-        let n = af.attempts.entry(kind).or_insert(0);
-        *n += 1;
-        af.timeline.push(FailureEvent {
-            wave: health.now(),
-            endpoint: af.exec,
-            note: format!("{note} (attempt {n})"),
-        });
-        journal.record(Event::Retry {
-            family: af.family.id,
-            attempt: *n,
-            note: note.to_string(),
-        });
-        let within_budget = ledger.charge(af.family.id);
-        if *n >= retry.task_attempts || !within_budget {
-            af.failed = Some(FailureReason::RetryBudgetExhausted {
-                extractor: kind,
-                error: error.clone(),
-            });
-        }
-    }
-    if let Some(ep) = endpoint {
-        health.record_failure(ep);
-    }
-}
-
-/// Folds one staging-pool outcome back into the wave loop's state: the
-/// staged family replaces the origin view (success) or the family
-/// dead-letters with a timeline event (failure — restages included, so no
-/// dead letter ships with a silent reroute). Every outcome's span joins
-/// the overlap-aware `Stage` accounting.
-fn apply_stage_outcome(
-    outcome: StageOutcome,
-    active: &mut [ActiveFamily],
-    report: &mut JobReport,
-    health: &mut HealthTracker,
-    stage_spans: &mut SpanUnion,
-    journal: &EventJournal,
-) {
-    stage_spans.add(outcome.started_s, outcome.finished_s);
-    let af = &mut active[outcome.index];
-    af.staging = false;
-    // Even a failed pass may have landed some files before the fault hit;
-    // remember the site regardless so cleanup sweeps it (the fix for the
-    // staged-copy leak: *every* site, not just the final exec home).
-    af.staged_sites.push((outcome.exec, outcome.base));
-    journal.record(Event::StagingFinished {
-        family: af.family.id,
-        destination: outcome.exec,
-        ok: outcome.result.is_ok(),
-    });
-    match outcome.result {
-        Ok(staged) => {
-            af.family = staged.family;
-            report.bytes_prefetched += staged.bytes;
-            health.record_success(outcome.exec);
-            if outcome.generation > 0 {
-                let old = af.exec;
-                af.exec = outcome.exec;
-                report.rerouted += 1;
-                af.timeline.push(FailureEvent {
-                    wave: health.now(),
-                    endpoint: outcome.exec,
-                    note: format!("rerouted from {old} to {}", outcome.exec),
-                });
-            }
-        }
-        Err(reason) => {
-            health.record_failure(outcome.exec);
-            let note = if outcome.generation > 0 {
-                format!("restage at {} failed: {reason}", outcome.exec)
-            } else {
-                reason.to_string()
-            };
-            af.timeline.push(FailureEvent {
-                wave: health.now(),
-                endpoint: outcome.exec,
-                note,
-            });
-            af.failed = Some(reason);
-        }
-    }
-}
-
 /// The live Xtract service.
 pub struct XtractService {
-    fabric: Arc<DataFabric>,
-    auth: Arc<AuthService>,
-    transfer: Arc<TransferService>,
-    faas: Arc<FaasService>,
+    pub(crate) fabric: Arc<DataFabric>,
+    pub(crate) auth: Arc<AuthService>,
+    pub(crate) transfer: Arc<TransferService>,
+    pub(crate) faas: Arc<FaasService>,
     pub(crate) obs: Obs,
     library: HashMap<ExtractorKind, Arc<dyn Extractor>>,
-    functions: parking_lot::RwLock<HashMap<(ExtractorKind, EndpointId), FunctionId>>,
+    pub(crate) functions: parking_lot::RwLock<HashMap<(ExtractorKind, EndpointId), FunctionId>>,
     containers: parking_lot::RwLock<HashMap<ExtractorKind, Vec<ContainerId>>>,
     family_ids: IdAllocator,
-    streams: RngStreams,
+    pub(crate) streams: RngStreams,
     /// The live serving index, created on the first job that opts into
     /// [`xtract_types::IndexPolicy`] ingest (that job's shard count
     /// wins) and shared by every job thereafter.
@@ -633,7 +331,7 @@ impl XtractService {
 
     /// Gets or creates the serving index; the first opting job's shard
     /// count wins.
-    fn serving_index(&self, shards: usize) -> Arc<SearchIndex> {
+    pub(crate) fn serving_index(&self, shards: usize) -> Arc<SearchIndex> {
         let mut slot = self.serving.write();
         match &*slot {
             Some(idx) => Arc::clone(idx),
@@ -697,63 +395,16 @@ impl XtractService {
         Ok(())
     }
 
-    fn function_for(&self, kind: ExtractorKind, endpoint: EndpointId) -> Result<FunctionId> {
+    pub(crate) fn function_for(
+        &self,
+        kind: ExtractorKind,
+        endpoint: EndpointId,
+    ) -> Result<FunctionId> {
         self.functions.read().get(&(kind, endpoint)).copied().ok_or(
             XtractError::NoCompatibleEndpoint {
                 container: format!("{} @ {endpoint}", kind.name()),
             },
         )
-    }
-
-    /// A connected compute endpoint other than `current` whose breaker
-    /// admits work, if any (the graceful-degradation and hedge target).
-    /// Endpoints whose decaying straggler score sits in quarantine are
-    /// deprioritized: any non-quarantined candidate wins first, and a
-    /// quarantined one is offered only when nothing cleaner exists.
-    fn healthy_alternative(
-        &self,
-        current: EndpointId,
-        spec: &JobSpec,
-        health: &HealthTracker,
-    ) -> Option<EndpointId> {
-        let mut fallback = None;
-        for ep in spec
-            .endpoints
-            .iter()
-            .filter(|e| e.has_compute() && e.endpoint != current)
-            .map(|e| e.endpoint)
-            .filter(|&ep| health.available(ep) && self.faas.endpoint(ep).is_some())
-        {
-            if !health.quarantined(ep) {
-                return Some(ep);
-            }
-            fallback.get_or_insert(ep);
-        }
-        fallback
-    }
-
-    /// Submits a speculative duplicate of `batch` at `alt` (same payload,
-    /// re-encoded for the alternative endpoint's registered function).
-    fn submit_hedge(&self, batch: &XtractBatch, alt: EndpointId) -> Result<TaskId> {
-        let function = self.function_for(batch.extractor, alt)?;
-        let ids = self.faas.batch_submit_owned(vec![TaskSpec {
-            function,
-            endpoint: alt,
-            payload: encode_batch(batch, false),
-        }]);
-        Ok(ids[0])
-    }
-
-    /// Settles `entry` with the status that decided it. The fabric forgets
-    /// the entry's task ids first — nothing polls them again, and with the
-    /// table's row gone the status holds the last handle to a `Done`
-    /// output — then only the [`Resolution`] is parked on the entry.
-    fn settle(&self, entry: &mut WaveEntry, status: TaskStatus, winner: EndpointId) {
-        match entry.hedge {
-            Some((hedge, _)) => self.faas.forget(&[entry.id, hedge]),
-            None => self.faas.forget(&[entry.id]),
-        }
-        entry.resolved = Some((Resolution::of(status), winner));
     }
 
     /// Stages `origin_files` (living at `origin_source`) under `exec`'s
@@ -868,7 +519,7 @@ impl XtractService {
 
     /// One staging-pool work item: stage the request's family and stamp
     /// the outcome with its concurrent span (offsets from `job_started`).
-    fn execute_stage_request(
+    pub(crate) fn execute_stage_request(
         &self,
         token: Token,
         req: StageRequest,
@@ -1032,9 +683,9 @@ impl XtractService {
     /// As [`Self::run_job`], with the job charged to a tenant: FaaS
     /// invocations, staged transfer bytes, and retry attempts draw down
     /// the tenant's quota ledger *before* they are consumed, and the
-    /// tenant's shared [`HealthTracker`] carries breaker and quarantine
-    /// state across all of its jobs. A `None` tenant behaves exactly
-    /// like [`Self::run_job`].
+    /// tenant's shared [`crate::resilience::HealthTracker`] carries breaker
+    /// and quarantine state across all of its jobs. A `None` tenant
+    /// behaves exactly like [`Self::run_job`].
     pub fn run_job_as(
         &self,
         token: Token,
@@ -1127,7 +778,7 @@ impl XtractService {
 
     /// Arms a structured fault plan on both substrates. Shard-worker
     /// processes call this directly (via [`crate::transport::run_worker`]):
-    /// they enter the wave loop through [`Self::run_job_inner`], below
+    /// they enter the wave engine through [`Self::run_job_inner`], below
     /// the [`Self::run_job_at`] dispatch that normally arms faults.
     pub(crate) fn arm_faults(&self, plan: &FaultPlan) {
         self.transfer.arm_fault_plan(plan.clone());
@@ -1221,1527 +872,68 @@ impl XtractService {
         Ok((ctx, state))
     }
 
+    /// Stages 2-7 of one job (or of one shard's slice of one) on a
+    /// [`WaveEngine`]: the plan, then the staging pool and the wave loop
+    /// inside one `thread::scope`, then validate-and-ship. The stage order
+    /// below is the engine's contract (DESIGN.md "Wave engine"); each
+    /// stage's doc names the WAL records and journal events it emits.
+    /// Dropping the engine, on any exit, closes the pool's request channel,
+    /// so the scope always joins its workers.
     pub(crate) fn run_job_inner(
         &self,
         token: Token,
         spec: &JobSpec,
         rec: Option<&RecoveryCtx>,
-        replayed: Replayed,
+        mut replayed: Replayed,
         tenant: Option<&Arc<TenantCtx>>,
         shard: Option<&dyn ShardLink>,
     ) -> Result<JobReport> {
-        let job_started = Instant::now();
-        let mut report = JobReport::default();
-        let retry = &spec.retry;
-        // A tenant-owned job shares its tenant's health tracker, so
-        // breaker and quarantine evidence accumulates across all of the
-        // tenant's jobs; a bare job gets a private one.
-        let health = match tenant {
-            Some(t) => t.health(retry, &spec.hedge),
-            None => Arc::new(Mutex::new(
-                HealthTracker::with_journal(retry, self.obs.journal.clone())
-                    .with_quarantine(&spec.hedge),
-            )),
-        };
-        // Staging-pool workers and the wave loop share the ledger.
         let ledger = Mutex::new(match tenant {
-            Some(t) => RetryLedger::with_tenant(retry, Arc::clone(t)),
-            None => RetryLedger::new(retry),
+            Some(t) => RetryLedger::with_tenant(&spec.retry, Arc::clone(t)),
+            None => RetryLedger::new(&spec.retry),
         });
-        let journal = self.obs.journal.clone();
-        // WAL bookkeeping (all idle when the job runs without a log):
-        // charges already journaled per family (wave commits journal the
-        // delta), dead letters journaled per family (latest wins), and
-        // the crash points already recorded — plus the armed kill, if the
-        // fault plan schedules one for this run segment. What the log
-        // replayed seeds them, by move: this run is its only reader.
-        // Finished steps have no table here: each family's own `steps` is
-        // the record snapshots restate and hand-offs carry.
-        let Replayed {
-            planned,
-            steps: mut replayed_steps,
-            charges: mut wal_charges,
-            dead: mut wal_dead,
-            crash_points: wal_crashes,
-            crawl: replayed_crawl,
-            waves: replayed_waves,
-            ..
-        } = replayed;
-        let mut crash = CrashSchedule::default();
-        // Live serving-index ingest (opt-in): touched families flow into
-        // the sharded index as each wave commits, and validation replaces
-        // their live records with the final ones.
-        let serving: Option<Arc<SearchIndex>> = spec
-            .index
-            .enabled
-            .then(|| self.serving_index(spec.index.shards));
-        let index_ingested = self.obs.hub.counter("index.ingested");
-        let index_replayed = self.obs.hub.counter("index.replayed");
-        let index_waves = self.obs.hub.counter("index.waves");
-        // A result folded into a family by this run — never a replayed or
-        // carried step, which the run that journaled it already counted.
-        let steps_completed = self.obs.hub.counter("steps.completed");
-        if let Some(ctx) = rec {
-            report.resumed = ctx.resumed;
-            report.replayed_records = ctx.replayed;
-            report.truncated_records = ctx.truncated;
-            crash = CrashSchedule::arm(spec.fault_plan.as_ref(), wal_crashes.len() as u64);
-            // Re-converge the serving index: fold each family's journaled
-            // steps, in journal order — the same order the live run folded
-            // (and ingested) them — so a resumed job's index ends up
-            // identical to an uninterrupted run's.
-            if let Some(serving) = &serving {
-                let families = replayed_steps.len() as u64;
-                if families > 0 {
-                    serving.ingest_all(
-                        replayed_steps
-                            .iter()
-                            .map(|(family, steps)| live_record(*family, steps)),
-                    );
-                    index_replayed.add(families);
-                    journal.record(Event::IndexReplayed { families });
-                }
-            }
-        }
-        // Straggler-defense instrumentation: the completion-latency
-        // histogram the adaptive deadline derives from, and the hedge
-        // lifecycle counters (`launched == won + wasted` at job end).
-        let latency_hist = self.obs.hub.histogram("task.latency_s", LATENCY_BOUNDS_S);
-        let hedge_launched = self.obs.hub.counter("hedge.launched");
-        let hedge_won = self.obs.hub.counter("hedge.won");
-        let hedge_wasted = self.obs.hub.counter("hedge.wasted");
-        // Adaptive two-level batching: a per-endpoint AIMD controller
-        // retunes (xtract, funcx, poll_chunk) from each wave's latency
-        // evidence. With the policy disabled, the single static batcher
-        // below is used unchanged. On resume the controller warm-starts
-        // from the count of replayed committed waves — its state is
-        // recomputed from the journal, never persisted.
-        let adaptive_on = spec.adaptive.enabled;
-        let mut tuner =
-            AdaptiveTuner::new(spec.adaptive, spec.xtract_batch_size, spec.funcx_batch_size)
-                .with_replayed_waves(replayed_waves);
-        let tune_grow = self.obs.hub.counter("adaptive.grow");
-        let tune_backoff = self.obs.hub.counter("adaptive.backoff");
-        // Limits last journaled per endpoint, so `BatchTuned` is recorded
-        // only when a wave actually runs under different limits.
-        let mut last_tuned: HashMap<EndpointId, BatchLimits> = HashMap::new();
-        // The allocation lease watchdog: notices lapsed leases in the
-        // background (flipping in-flight tasks to Lost immediately rather
-        // than after a poll window) and renews them after the policy
-        // cooldown. Held for the job's duration; dropping it stops the
-        // thread.
-        let _watchdog = spec.hedge.enabled.then(|| {
-            self.faas
-                .start_lease_watchdog(Duration::from_millis(spec.hedge.watchdog_renew_cooldown_ms))
-        });
-
-        // --- Stages 2+3: the journaled plan, or crawl and journal one. ------
-        let families = self.replay_or_crawl_plan(
+        let job = JobLink {
+            service: self,
+            token,
             spec,
             rec,
-            planned,
-            replayed_crawl,
-            shard.is_some(),
-            job_started,
-            &mut report,
-        )?;
-        if let Some(ctx) = rec {
-            if crash.hit(CrashPoint::AfterCrawl) {
-                ctx.log.append(&crash_record(CrashPoint::AfterCrawl))?;
-                return Err(killed(CrashPoint::AfterCrawl));
-            }
-        }
-        // Retained for snapshot restatement during log compaction; the
-        // placement loop below consumes `families`.
-        let planned_families: Vec<Family> = if rec.is_some() {
-            families.clone()
-        } else {
-            Vec::new()
+            tenant,
+            shard,
         };
-
-        // --- Stage 4: placement. -------------------------------------------
-        let plan_started = Instant::now();
-        let primary =
-            spec.endpoints
-                .iter()
-                .find(|e| e.has_compute())
-                .ok_or(XtractError::InvalidJob {
-                    reason: "no compute endpoint in job".to_string(),
-                })?;
-        let secondary = spec
-            .endpoints
-            .iter()
-            .filter(|e| e.has_compute())
-            .nth(1)
-            .map(|e| e.endpoint);
-        let mut offloader = Offloader::new(
-            spec.offload,
-            primary.endpoint,
-            secondary,
-            self.streams.seed() ^ 0x0ff1,
-        );
-        let by_endpoint: HashMap<EndpointId, &EndpointSpec> =
-            spec.endpoints.iter().map(|e| (e.endpoint, e)).collect();
-
-        let mut active: Vec<ActiveFamily> = Vec::with_capacity(families.len());
-        // Overlap-aware Stage accounting: every staging pass contributes
-        // its [start, finish] span; the union (never the sum) of the
-        // pool's concurrent spans is the phase's wall-clock coverage.
-        let mut stage_spans = SpanUnion::new();
-        let staging_workers = spec.staging_workers.max(1);
-        // The pool is the concurrency budget; bound each transfer link to
-        // the same width so one saturated link cannot be oversubscribed.
-        self.transfer.set_link_limit(Some(staging_workers));
-
-        std::thread::scope(|scope| -> Result<()> {
-            // --- The staging pool: a bounded set of workers prefetching
-            // families via the Arc-shared transfer service, streaming
-            // outcomes back into the wave loop. Restages after breaker
-            // reroutes ride the same channel. -------------------------------
-            let (req_tx, req_rx) = unbounded::<StageRequest>();
-            let (out_tx, out_rx) = unbounded::<StageOutcome>();
-            let pool_gauge = self.obs.hub.gauge("staging.in_flight");
-            for _ in 0..staging_workers {
-                let req_rx = req_rx.clone();
-                let out_tx = out_tx.clone();
-                let gauge = pool_gauge.clone();
-                let journal = journal.clone();
-                let ledger = &ledger;
-                scope.spawn(move || {
-                    while let Ok(req) = req_rx.recv() {
-                        gauge.inc();
-                        journal.record(Event::StagingStarted {
-                            family: req.family.id,
-                            destination: req.exec,
-                        });
-                        let outcome = self.execute_stage_request(
-                            token,
-                            req,
-                            retry,
-                            ledger,
-                            tenant,
-                            job_started,
-                        );
-                        gauge.dec();
-                        if out_tx.send(outcome).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(req_rx);
-            drop(out_tx);
-            // Staging requests in flight on the pool; the wave loop may
-            // not end while any remain.
-            let mut inflight = 0usize;
-            // Migration records journaled *this run segment* (sharded runs
-            // only). Snapshots restate them after the families' steps, so
-            // compaction preserves mid-run ownership changes: an adopted
-            // family survives pruning, a donated one stays gone and its
-            // out-record keeps its steps. Replayed migrations need no
-            // restating — the replayed plan and step lists already reflect
-            // them. Dropped with the wave loop, so stage 7 finds each
-            // family's `steps` holding the last handles to its metadata.
-            let mut wal_migrations: Vec<RecoveryRecord> = Vec::new();
-
-            // Admits one family to the wave loop — a planned one at stage 4
-            // or a migrant at a wave boundary — with the steps it already
-            // completed, taken by value: places it, fast-forwards its plan
-            // through those steps (including extractors they *discovered*,
-            // which a crawl-seeded plan would never schedule), pre-charges
-            // the attempts it already spent, and submits its prefetch.
-            let mut admit = |active: &mut Vec<ActiveFamily>,
-                             inflight: &mut usize,
-                             wal_charges: &mut HashMap<FamilyId, u32>,
-                             wave: u64,
-                             family: Family,
-                             steps: Vec<MigratedStep>,
-                             charges: u32| {
-                if charges > 0 {
-                    // The family's journaled total so far; wave commits
-                    // journal only the delta above this mark.
-                    let cur = wal_charges.entry(family.id).or_insert(0);
-                    *cur = (*cur).max(charges);
-                    ledger.lock().precharge(family.id, charges);
-                }
-                let origin_files = family.files.clone();
-                let origin_source = family.source;
-                let local_ok = by_endpoint
-                    .get(&family.source)
-                    .is_some_and(|e| e.has_compute());
-                // Default: source locality — a family already sitting on
-                // a compute endpoint runs there, otherwise the primary.
-                let default_exec = if local_ok {
-                    family.source
-                } else {
-                    primary.endpoint
-                };
-                // Honour the offloader's *typed* decision: `Offload` is an
-                // active instruction to move the family to the secondary
-                // (§4.3.3 RAND applies a percentage of all files), while
-                // `Home` means the policy expressed no preference and
-                // source locality stands — the primary is never a forced
-                // destination (see `Offloader::place_decision`).
-                let (placed, decision) = offloader.place_decision(&family);
-                let exec = if decision == Placement::Offload {
-                    placed
-                } else {
-                    default_exec
-                };
-                let mut plan = ExtractionPlan::for_family(&family);
-                for s in &steps {
-                    plan.complete(s.kind, &s.discoveries);
-                }
-                let mut af = ActiveFamily {
-                    plan,
-                    family,
-                    steps,
-                    exec,
-                    attempts: HashMap::new(),
-                    failed: None,
-                    timeline: Vec::new(),
-                    origin_files,
-                    origin_source,
-                    staging: false,
-                    staged_sites: Vec::new(),
-                    stage_generation: 0,
-                    extended: HashSet::new(),
-                    migrated: false,
-                };
-                // --- Stage 5: prefetch if bytes are elsewhere — submitted
-                // to the pool, not awaited, so wave 1 of already-local
-                // families dispatches while remote ones are in flight. A
-                // family of a logged job whose carried plan is already
-                // done has nothing left to run and skips the transfer. ------
-                if exec != af.family.source && !(rec.is_some() && af.plan.is_done()) {
-                    let store = by_endpoint
-                        .get(&exec)
-                        .copied()
-                        .and_then(|d| d.store_path.clone());
-                    match store {
-                        Some(store) => {
-                            af.staging = true;
-                            *inflight += 1;
-                            let _ = req_tx.send(StageRequest {
-                                index: active.len(),
-                                family: af.family.clone(),
-                                origin_files: af.origin_files.clone(),
-                                origin_source,
-                                exec,
-                                store,
-                                // The salt base derives from the family
-                                // id, so injected transfer faults roll
-                                // independently per family instead of in
-                                // lockstep.
-                                salt_base: stage_salt_base(af.family.id, 0),
-                                generation: 0,
-                            });
-                        }
-                        None => {
-                            // The family still flows through the wave loop
-                            // and stage 7 so it lands in exactly one place:
-                            // the dead-letter list.
-                            let reason = FailureReason::PrefetchFailed {
-                                endpoint: exec,
-                                error: XtractError::NoComputeLayer { endpoint: exec },
-                            };
-                            health.lock().record_failure(exec);
-                            af.timeline.push(FailureEvent {
-                                wave,
-                                endpoint: exec,
-                                note: reason.to_string(),
-                            });
-                            af.failed = Some(reason);
-                        }
-                    }
-                }
-                active.push(af);
-            };
-
-            for family in families {
-                // A family a prior run segment already dead-lettered never
-                // activates again: its journaled letter ships straight to
-                // the report, and no extractor is re-invoked for it — the
-                // zero-duplicate-invocation invariant for poisoned files.
-                if let Some(letter) = wal_dead.get(&family.id) {
-                    report.failures.push(letter.clone());
-                    continue;
-                }
-                let steps = replayed_steps.remove(&family.id).unwrap_or_default();
-                let charges = wal_charges.get(&family.id).copied().unwrap_or(0);
-                admit(
-                    &mut active,
-                    &mut inflight,
-                    &mut wal_charges,
-                    0,
-                    family,
-                    steps,
-                    charges,
-                );
-            }
-
-            // Placement is pure now that staging rides the pool: Plan is
-            // the decision pass alone; Stage lands after the loop as the
-            // union of the pool's concurrent spans.
-            let plan_s = plan_started.elapsed().as_secs_f64();
-            let now_s = job_started.elapsed().as_secs_f64();
-            report.phases.add(Phase::Plan, plan_s);
-            report
-                .phase_spans
-                .push((Phase::Plan, now_s - plan_s, now_s));
-
-            // --- Stage 6: extraction waves, overlapped with staging. -------
+        let mut engine = WaveEngine::new(job, &ledger, &mut replayed)?;
+        let families = engine.plan(replayed.planned, replayed.crawl)?;
+        std::thread::scope(move |scope| {
+            engine.spawn_pool(scope);
+            engine.admit_plan(families, replayed.steps);
             loop {
-                // Fold in every family the pool finished since the last
-                // wave; newly staged families join this wave's batch.
-                while let Ok(outcome) = out_rx.try_recv() {
-                    inflight -= 1;
-                    apply_stage_outcome(
-                        outcome,
-                        &mut active,
-                        &mut report,
-                        &mut health.lock(),
-                        &mut stage_spans,
-                        &journal,
-                    );
-                }
-                health.lock().tick();
-
-                // --- Shard coordination at the wave boundary. Waves are
-                // synchronous: nothing is in flight here except staging,
-                // so this is the one safe point to move families between
-                // shards. Order matters — adopt (journal the in-record,
-                // then acknowledge custody), donate (journal the
-                // out-record *before* handing over), then heartbeat. ----
-                if let Some(ctl) = shard {
-                    let ctx = rec.expect("sharded runners always carry a recovery log");
-                    let migrants = ctl.drain()?;
-                    if !migrants.is_empty() {
-                        let in_records: Vec<RecoveryRecord> = migrants
-                            .iter()
-                            .map(|m| RecoveryRecord::FamilyMigrated {
-                                family: m.family.clone(),
-                                from: m.from,
-                                to: ctl.shard() as u64,
-                                adopted: true,
-                                steps: m.steps.clone(),
-                                charges: m.charges,
-                            })
-                            .collect();
-                        ctx.log.append_batch(&in_records)?;
-                        let ids: Vec<FamilyId> = migrants.iter().map(|m| m.family.id).collect();
-                        ctl.ack(&ids)?;
-                        wal_migrations.extend(in_records);
-                        for m in migrants {
-                            admit(
-                                &mut active,
-                                &mut inflight,
-                                &mut wal_charges,
-                                u64::from(report.waves),
-                                m.family,
-                                m.steps,
-                                m.charges,
-                            );
-                        }
-                    }
-                    // Donation: at the wave boundary any pending,
-                    // non-staging family can move with its completed
-                    // steps. Out-records go durable before delivery.
-                    if let Some(req) = ctl.take_steal()? {
-                        let mut eligible: Vec<usize> = active
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, af)| {
-                                af.failed.is_none()
-                                    && !af.staging
-                                    && !af.migrated
-                                    && !af.plan.is_done()
-                            })
-                            .map(|(i, _)| i)
-                            .collect();
-                        let take = eligible.len().min(req.max);
-                        let chosen = eligible.split_off(eligible.len() - take);
-                        if !chosen.is_empty() {
-                            let mut outs = Vec::with_capacity(chosen.len());
-                            let mut handoff = Vec::with_capacity(chosen.len());
-                            for &i in &chosen {
-                                let af = &mut active[i];
-                                // The recipient re-stages from the origin
-                                // view, exactly like a breaker reroute.
-                                let mut family = af.family.clone();
-                                family.files = af.origin_files.clone();
-                                family.source = af.origin_source;
-                                family.base_path = None;
-                                // The steps leave with the family: it is
-                                // terminal here once its out-record lands.
-                                let steps = std::mem::take(&mut af.steps);
-                                let charges = ledger
-                                    .lock()
-                                    .attempts(af.family.id)
-                                    .max(wal_charges.get(&af.family.id).copied().unwrap_or(0));
-                                outs.push(RecoveryRecord::FamilyMigrated {
-                                    family: family.clone(),
-                                    from: ctl.shard() as u64,
-                                    to: req.to as u64,
-                                    adopted: false,
-                                    steps: steps.clone(),
-                                    charges,
-                                });
-                                handoff.push(Migrant {
-                                    family,
-                                    steps,
-                                    charges,
-                                    from: ctl.shard() as u64,
-                                });
-                            }
-                            ctx.log.append_batch(&outs)?;
-                            wal_migrations.extend(outs);
-                            for (&i, m) in chosen.iter().zip(handoff) {
-                                active[i].migrated = true;
-                                ctl.deliver(req.to, m)?;
-                            }
-                        }
-                    }
-                    let pending = active
-                        .iter()
-                        .filter(|af| af.failed.is_none() && !af.migrated && !af.plan.is_done())
-                        .count() as u64;
-                    ctl.heartbeat(u64::from(report.waves), pending)?;
-                }
-
-                // Graceful degradation: a family whose endpoint's breaker
-                // is open moves to a healthy endpoint, its bytes re-staged
-                // from the origin — through the pool, so the wave loop
-                // keeps dispatching healthy families meanwhile. With no
-                // healthy alternative it stays parked and rides the
-                // half-open probe cycle instead.
-                for (i, af) in active.iter_mut().enumerate() {
-                    if af.failed.is_some() || af.staging || af.migrated || af.plan.is_done() {
+                engine.absorb_staged();
+                engine.shard_boundary()?;
+                engine.reroute();
+                let Some(mut wave) = engine.batch() else {
+                    if engine.await_work()? {
                         continue;
                     }
-                    if health.lock().state(af.exec) != BreakerState::Open {
-                        continue;
-                    }
-                    let Some(new_exec) = self.healthy_alternative(af.exec, spec, &health.lock())
-                    else {
-                        if self.faas.endpoint(af.exec).is_none() {
-                            // Not just tripped — the endpoint does not
-                            // exist.
-                            af.failed =
-                                Some(FailureReason::NoHealthyEndpoint { endpoint: af.exec });
-                        }
-                        continue;
-                    };
-                    if !ledger.lock().charge(af.family.id) {
-                        af.failed = Some(FailureReason::RetryBudgetExhausted {
-                            extractor: af.plan.next().unwrap_or(ExtractorKind::Keyword),
-                            error: XtractError::EndpointDown { endpoint: af.exec },
-                        });
-                        continue;
-                    }
-                    let old = af.exec;
-                    // Reset to the origin view, then stage at the new home.
-                    af.family.files = af.origin_files.clone();
-                    af.family.source = af.origin_source;
-                    af.family.base_path = None;
-                    if new_exec == af.origin_source {
-                        // The bytes already live at the new home: a purely
-                        // logical move, no transfer needed.
-                        af.exec = new_exec;
-                        report.rerouted += 1;
-                        af.timeline.push(FailureEvent {
-                            wave: health.lock().now(),
-                            endpoint: new_exec,
-                            note: format!("rerouted from {old} to {new_exec}"),
-                        });
-                        continue;
-                    }
-                    let store = by_endpoint
-                        .get(&new_exec)
-                        .copied()
-                        .and_then(|d| d.store_path.clone());
-                    match store {
-                        Some(store) => {
-                            af.stage_generation += 1;
-                            af.staging = true;
-                            inflight += 1;
-                            let _ = req_tx.send(StageRequest {
-                                index: i,
-                                family: af.family.clone(),
-                                origin_files: af.origin_files.clone(),
-                                origin_source: af.origin_source,
-                                exec: new_exec,
-                                store,
-                                salt_base: stage_salt_base(af.family.id, af.stage_generation),
-                                generation: af.stage_generation,
-                            });
-                        }
-                        None => {
-                            // Satellite fix: a failed restage records a
-                            // timeline event like every other failure path,
-                            // so the dead letter ships a complete history.
-                            let reason = FailureReason::PrefetchFailed {
-                                endpoint: new_exec,
-                                error: XtractError::NoComputeLayer { endpoint: new_exec },
-                            };
-                            health.lock().record_failure(new_exec);
-                            af.timeline.push(FailureEvent {
-                                wave: health.lock().now(),
-                                endpoint: new_exec,
-                                note: format!("restage at {new_exec} failed: {reason}"),
-                            });
-                            af.failed = Some(reason);
-                        }
-                    }
-                }
-
-                let dispatch_started = Instant::now();
-                // Static mode: one batcher spans endpoints, so a funcX
-                // request may mix endpoints' tasks — today's behavior,
-                // untouched. Adaptive mode: one batcher per endpoint at
-                // the tuner's current limits (BTreeMap keeps flush order
-                // deterministic), since limits are per-endpoint state.
-                let mut batcher = Batcher::new(spec.xtract_batch_size, spec.funcx_batch_size);
-                let mut ep_batchers: BTreeMap<EndpointId, Batcher> = BTreeMap::new();
-                let mut wave_poll_chunk: Option<usize> = None;
-                let mut wave = Vec::new();
-                let mut index: HashMap<FamilyId, usize> = HashMap::new();
-                for (i, af) in active.iter_mut().enumerate() {
-                    // A family with a staging pass in flight sits this wave
-                    // out; its outcome folds in at the top of a later one.
-                    // A donated family is terminal here: its new shard
-                    // dispatches it.
-                    if af.failed.is_some() || af.staging || af.migrated {
-                        continue;
-                    }
-                    // An open breaker parks the family until a reroute or
-                    // the cooldown's half-open probe readmits it.
-                    if health.lock().state(af.exec) == BreakerState::Open {
-                        continue;
-                    }
-                    // The plan cursor only ever advances together with
-                    // the step that completes it, so what is next here has
-                    // never flushed: a loss resubmits exactly the unfinished
-                    // step (§5.8.1: "the metadata are re-loaded").
-                    let Some(kind) = af.plan.next() else { continue };
-                    index.insert(af.family.id, i);
-                    let b = if adaptive_on {
-                        ep_batchers.entry(af.exec).or_insert_with(|| {
-                            let mut lim = tuner.limits(af.exec);
-                            // A tenant's remaining invocation budget caps
-                            // funcX growth: requests shrink to fit the
-                            // budget instead of bouncing off the ledger.
-                            if let Some(t) = tenant {
-                                lim = lim.cap_to_invocations(
-                                    t.ledger().headroom(QuotaResource::Invocations),
-                                    spec.adaptive.funcx_floor,
-                                );
-                            }
-                            wave_poll_chunk =
-                                Some(wave_poll_chunk.unwrap_or(0).max(lim.poll_chunk));
-                            if last_tuned.insert(af.exec, lim) != Some(lim) {
-                                journal.record(Event::BatchTuned {
-                                    endpoint: af.exec,
-                                    xtract: lim.xtract as u64,
-                                    funcx: lim.funcx as u64,
-                                    poll_chunk: lim.poll_chunk as u64,
-                                });
-                            }
-                            Batcher::new(lim.xtract, lim.funcx)
-                        })
-                    } else {
-                        &mut batcher
-                    };
-                    wave.extend(b.push(af.family.clone(), kind, af.exec));
-                }
-                wave.extend(batcher.flush());
-                for b in ep_batchers.values_mut() {
-                    wave.extend(b.flush());
-                }
-                if wave.is_empty() {
-                    if inflight > 0 {
-                        // Nothing dispatchable yet but prefetches are in
-                        // flight: block for the next outcome instead of
-                        // spinning on an empty wave.
-                        match out_rx.recv() {
-                            Ok(outcome) => {
-                                inflight -= 1;
-                                apply_stage_outcome(
-                                    outcome,
-                                    &mut active,
-                                    &mut report,
-                                    &mut health.lock(),
-                                    &mut stage_spans,
-                                    &journal,
-                                );
-                            }
-                            Err(_) => {
-                                // The pool died (a worker panicked): fail
-                                // the stranded families with a typed
-                                // reason rather than spin — the partition
-                                // invariant outlives even this.
-                                inflight = 0;
-                                for af in active.iter_mut().filter(|af| af.staging) {
-                                    af.staging = false;
-                                    af.failed = Some(FailureReason::Internal {
-                                        reason: "staging pool terminated mid-flight".to_string(),
-                                    });
-                                }
-                            }
-                        }
-                        continue;
-                    }
-                    // Checkpoint short-circuits may have advanced plans,
-                    // and parked families wait out a breaker cooldown (the
-                    // tick at the top of the loop is what ages it); loop
-                    // again if anything is still pending.
-                    if active
-                        .iter()
-                        .all(|af| af.failed.is_some() || af.migrated || af.plan.is_done())
-                    {
-                        // A drained shard parks with the coordinator
-                        // instead of finishing: siblings may still donate
-                        // it work (idle-pull), and the run only concludes
-                        // once every shard is drained together.
-                        match shard {
-                            Some(ctl) => match ctl.idle_wait()? {
-                                crate::shard::IdleVerdict::Adopt => continue,
-                                crate::shard::IdleVerdict::Finished => break,
-                            },
-                            None => break,
-                        }
-                    }
-                    continue;
-                }
-                report.waves += 1;
-                // Steps completed during this wave; journaled in one group
-                // commit at the wave boundary below.
-                let mut wave_flushes: Vec<RecoveryRecord> = Vec::new();
-                // Families whose merged document grew this wave; ingested
-                // into the serving index at the commit boundary below.
-                let mut wave_touched: HashSet<FamilyId> = HashSet::new();
-
-                // Submit: one batch_submit per funcX batch (§4.3.2).
-                let mut entries: Vec<WaveEntry> = Vec::new();
-                for funcx_batch in wave {
-                    let mut specs = Vec::with_capacity(funcx_batch.tasks.len());
-                    let mut members: Vec<(ExtractorKind, Vec<FamilyId>, XtractBatch)> = Vec::new();
-                    for task in funcx_batch.tasks {
-                        let function = self.function_for(task.extractor, task.endpoint)?;
-                        // Staged copies are cleaned after the *whole plan*
-                        // finishes (a family may still need them for later
-                        // extractors), so the per-batch flag stays off.
-                        specs.push(TaskSpec {
-                            function,
-                            endpoint: task.endpoint,
-                            payload: encode_batch(&task, false),
-                        });
-                        members.push((
-                            task.extractor,
-                            task.families.iter().map(|f| f.id).collect(),
-                            task,
-                        ));
-                    }
-                    // Tenant quota: invocations are charged before the
-                    // batch reaches the fabric, so a refused charge means
-                    // nothing was submitted and nothing needs unwinding.
-                    if let Some(t) = tenant {
-                        let invocations: u64 =
-                            members.iter().map(|(_, fams, _)| fams.len() as u64).sum();
-                        t.charge(QuotaResource::Invocations, invocations)?;
-                    }
-                    let ids = self.faas.batch_submit_owned(specs);
-                    for (id, (kind, fams, batch)) in ids.into_iter().zip(members) {
-                        *report
-                            .invocations
-                            .entry(kind.name().to_string())
-                            .or_insert(0) += fams.len() as u64;
-                        entries.push(WaveEntry {
-                            id,
-                            kind,
-                            fams,
-                            batch,
-                            hedge: None,
-                            resolved: None,
-                            breached: false,
-                        });
-                    }
-                }
-                let dispatch_s = dispatch_started.elapsed().as_secs_f64();
-                let now_s = job_started.elapsed().as_secs_f64();
-                report.phases.add(Phase::Dispatch, dispatch_s);
-                report
-                    .phase_spans
-                    .push((Phase::Dispatch, now_s - dispatch_s, now_s));
-
-                // Poll until terminal (batched polling, §4.3.2), under the
-                // straggler defense: every task in the wave gets an
-                // adaptive deadline derived from the observed
-                // completion-latency quantile (policy ceiling until enough
-                // samples accumulate). A breach scores the endpoint as a
-                // straggler and — when an alternative healthy endpoint
-                // exists — hedges the task there; the first productive
-                // result wins and the loser is cancelled. The flat poll
-                // window from the retry policy stays the hard cap, and a
-                // task still non-terminal when it closes is split into
-                // provably-lost vs merely-slow below.
-                let extract_started = Instant::now();
-                let deadline = adaptive_deadline(&latency_hist, &spec.hedge, retry);
-                let window = Duration::from_millis(retry.poll_window_ms);
-                let wave_started = Instant::now();
-                // Per-endpoint completion latencies this wave — the
-                // adaptive controller's evidence. Untouched (and empty)
-                // when the policy is disabled.
-                let mut wave_lat: BTreeMap<EndpointId, Vec<f64>> = BTreeMap::new();
-                let productive =
-                    |s: &TaskStatus| matches!(s, TaskStatus::Done(_) | TaskStatus::Failed(_));
-                // Entries still unsettled, in entry order: a poll asks only
-                // about these, and reads the answers back in the same order.
-                let mut open: Vec<usize> = (0..entries.len()).collect();
-                loop {
-                    let outstanding: Vec<TaskId> = open
-                        .iter()
-                        .map(|&i| &entries[i])
-                        .flat_map(|e| std::iter::once(e.id).chain(e.hedge.map(|(h, _)| h)))
-                        .collect();
-                    if outstanding.is_empty() {
-                        break;
-                    }
-                    // Adaptive mode bounds each poll request to the
-                    // tuned chunk, so poll fan-out tracks dispatch
-                    // fan-out; static mode polls everything in one
-                    // request, exactly as before.
-                    let polled = match wave_poll_chunk {
-                        Some(chunk) if chunk < outstanding.len() => outstanding
-                            .chunks(chunk.max(1))
-                            .flat_map(|ids| self.faas.batch_poll(ids))
-                            .collect(),
-                        _ => self.faas.batch_poll(&outstanding),
-                    };
-                    let mut polled = polled.into_iter().map(|p| p.status);
-                    let closing = wave_started.elapsed() >= window;
-                    for &i in &open {
-                        let e = &mut entries[i];
-                        // Each status is moved out of this iteration's poll
-                        // result: the entry that settles on it owns it.
-                        let home = e.batch.endpoint;
-                        let primary = polled.next().unwrap_or(TaskStatus::Unknown);
-                        let hedge_status = e
-                            .hedge
-                            .map(|(_, ep)| (polled.next().unwrap_or(TaskStatus::Unknown), ep));
-                        if productive(&primary) {
-                            // The original got there first: a hedge still
-                            // in flight lost the race and is cancelled so
-                            // its (discarded) result never double-counts.
-                            if let Some((_, hep)) = &hedge_status {
-                                let (hid, _) = e.hedge.expect("hedge status implies a hedge");
-                                self.faas.cancel(hid);
-                                hedge_wasted.incr();
-                                for fid in &e.fams {
-                                    journal.record(Event::HedgeLost {
-                                        family: *fid,
-                                        loser: *hep,
-                                    });
-                                }
-                            }
-                            let latency = wave_started.elapsed().as_secs_f64();
-                            latency_hist.observe(latency);
-                            if adaptive_on {
-                                wave_lat.entry(home).or_default().push(latency);
-                            }
-                            self.settle(e, primary, home);
-                            continue;
-                        }
-                        let hedge_status = match hedge_status {
-                            Some((hs, hep)) if productive(&hs) => {
-                                // The hedge won: cancel the original so its
-                                // eventual result (if any) is discarded —
-                                // only the winner's output is ever decoded.
-                                self.faas.cancel(e.id);
-                                hedge_won.incr();
-                                for fid in &e.fams {
-                                    journal.record(Event::HedgeWon {
-                                        family: *fid,
-                                        winner: hep,
-                                    });
-                                }
-                                let latency = wave_started.elapsed().as_secs_f64();
-                                latency_hist.observe(latency);
-                                if adaptive_on {
-                                    wave_lat.entry(home).or_default().push(latency);
-                                }
-                                self.settle(e, hs, hep);
-                                continue;
-                            }
-                            unproductive => unproductive,
-                        };
-                        if primary.is_terminal() {
-                            // Lost (or unknown): no result is coming from
-                            // the original. A live hedge may still produce
-                            // one; failing that, a provably-dead primary is
-                            // the clearest hedge trigger of all.
-                            if let Some((hs, hep)) = &hedge_status {
-                                if !hs.is_terminal() && !closing {
-                                    continue;
-                                }
-                                // Both runners dead (or the window closed):
-                                // the hedge never produced a result.
-                                let (hid, _) = e.hedge.expect("hedge status implies a hedge");
-                                self.faas.cancel(hid);
-                                hedge_wasted.incr();
-                                for fid in &e.fams {
-                                    journal.record(Event::HedgeLost {
-                                        family: *fid,
-                                        loser: *hep,
-                                    });
-                                }
-                                self.settle(e, primary, home);
-                                continue;
-                            }
-                            if matches!(primary, TaskStatus::Lost)
-                                && spec.hedge.enabled
-                                && !closing
-                                && !e.breached
-                            {
-                                e.breached = true;
-                                // A hedge is one speculative invocation; a
-                                // tenant out of invocation quota forgoes it
-                                // and rides the primary alone.
-                                let hedge_allowed = tenant.is_none_or(|t| {
-                                    t.charge(QuotaResource::Invocations, 1).is_ok()
-                                });
-                                if let Some(alt) = hedge_allowed
-                                    .then(|| self.healthy_alternative(home, spec, &health.lock()))
-                                    .flatten()
-                                {
-                                    if let Ok(hid) = self.submit_hedge(&e.batch, alt) {
-                                        hedge_launched.incr();
-                                        for fid in &e.fams {
-                                            journal.record(Event::TaskHedged {
-                                                family: *fid,
-                                                original: home,
-                                                hedge: alt,
-                                            });
-                                        }
-                                        e.hedge = Some((hid, alt));
-                                        continue;
-                                    }
-                                }
-                            }
-                            self.settle(e, primary, home);
-                            continue;
-                        }
-                        // Still running. Past the adaptive deadline the
-                        // endpoint takes a fractional straggler score (soft
-                        // evidence — the breaker is untouched) and the task
-                        // hedges to the best alternative, if any.
-                        if !e.breached && wave_started.elapsed() >= deadline {
-                            e.breached = true;
-                            health.lock().record_breach(home);
-                            if spec.hedge.enabled
-                                && !closing
-                                && tenant
-                                    .is_none_or(|t| t.charge(QuotaResource::Invocations, 1).is_ok())
-                            {
-                                if let Some(alt) =
-                                    self.healthy_alternative(home, spec, &health.lock())
-                                {
-                                    if let Ok(hid) = self.submit_hedge(&e.batch, alt) {
-                                        hedge_launched.incr();
-                                        for fid in &e.fams {
-                                            journal.record(Event::TaskHedged {
-                                                family: *fid,
-                                                original: home,
-                                                hedge: alt,
-                                            });
-                                        }
-                                        e.hedge = Some((hid, alt));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    open.retain(|&i| entries[i].resolved.is_none());
-                    if closing || open.is_empty() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-
-                // The *window* gave up, not the tasks: split the leftovers
-                // into provably-lost (their endpoint's lease lapsed or is
-                // gone) and merely-slow, journal the disposition, and
-                // abandon the stale task ids (the next wave resubmits
-                // under fresh ones).
-                let mut lost_stragglers = 0u64;
-                let mut slow_stragglers = 0u64;
-                for e in entries.iter_mut().filter(|e| e.resolved.is_none()) {
-                    if let Some((hid, hep)) = e.hedge {
-                        self.faas.cancel(hid);
-                        hedge_wasted.incr();
-                        for fid in &e.fams {
-                            journal.record(Event::HedgeLost {
-                                family: *fid,
-                                loser: hep,
-                            });
-                        }
-                    }
-                    self.faas.cancel(e.id);
-                    let ep = e.batch.endpoint;
-                    let alive = self.faas.endpoint(ep).is_some_and(|c| !c.is_expired());
-                    if alive {
-                        slow_stragglers += 1;
-                        self.settle(e, TaskStatus::Running, ep);
-                    } else {
-                        lost_stragglers += 1;
-                        self.settle(e, TaskStatus::Lost, ep);
-                    }
-                }
-                if lost_stragglers + slow_stragglers > 0 {
-                    journal.record(Event::PollWindowExpired {
-                        tasks: lost_stragglers + slow_stragglers,
-                        window_ms: retry.poll_window_ms,
-                        lost: lost_stragglers,
-                        slow: slow_stragglers,
-                    });
-                }
-
-                // The fold: entries apply in entry order whatever order
-                // they settled in, so WAL record order, breaker evidence
-                // and retry charging do not depend on poll timing.
-                for e in entries.iter_mut() {
-                    let Some((resolution, winner_ep)) = &mut e.resolved else {
-                        continue; // unreachable: every entry resolved above
-                    };
-                    let (id, kind, fams) = (e.id, e.kind, &e.fams);
-                    match resolution {
-                        Resolution::Done(decoded) => match decoded {
-                            Ok(results) => {
-                                for r in results.drain(..) {
-                                    let Some(&i) = index.get(&r.family) else {
-                                        continue;
-                                    };
-                                    let af = &mut active[i];
-                                    if let Some(err) = r.error {
-                                        // A poisoned family: terminal —
-                                        // §2.3's junk files must not wedge
-                                        // the job; retrying cannot help.
-                                        af.failed = Some(FailureReason::ExtractionFailed {
-                                            extractor: kind,
-                                            error: err,
-                                        });
-                                        continue;
-                                    }
-                                    // One allocation owns the result's
-                                    // metadata; the family's step and the
-                                    // wave's commit batch share it.
-                                    let metadata = Arc::new(r.metadata);
-                                    if rec.is_some() {
-                                        wave_flushes.push(RecoveryRecord::StepCompleted {
-                                            family: r.family,
-                                            kind,
-                                            metadata: Arc::clone(&metadata),
-                                            discoveries: r.discoveries.clone(),
-                                        });
-                                    }
-                                    af.plan.complete(kind, &r.discoveries);
-                                    af.steps.push(MigratedStep {
-                                        kind,
-                                        metadata,
-                                        discoveries: r.discoveries,
-                                    });
-                                    steps_completed.incr();
-                                    wave_touched.insert(r.family);
-                                }
-                                // Credit whichever endpoint actually
-                                // produced the result — the hedge winner's,
-                                // not necessarily the family's home.
-                                health.lock().record_success(*winner_ep);
-                            }
-                            Err(e) => {
-                                for fid in fams {
-                                    let Some(&i) = index.get(fid) else { continue };
-                                    active[i].failed = Some(FailureReason::Internal {
-                                        reason: format!("undecodable result: {e}"),
-                                    });
-                                }
-                            }
-                        },
-                        Resolution::Failed(e) if e.is_retryable() => {
-                            // Transient executor failure (crashed worker,
-                            // downed endpoint): the step stays pending and
-                            // the next wave resubmits under a fresh id.
-                            charge_step_loss(
-                                &mut active,
-                                &index,
-                                fams,
-                                kind,
-                                e,
-                                &format!("{} step failed: {e}", kind.name()),
-                                retry,
-                                &mut ledger.lock(),
-                                &mut health.lock(),
-                                &mut report,
-                                &journal,
-                            );
-                        }
-                        Resolution::Failed(e) => {
-                            for fid in fams {
-                                let Some(&i) = index.get(fid) else { continue };
-                                active[i].failed = Some(FailureReason::ExtractionFailed {
-                                    extractor: kind,
-                                    error: e.to_string(),
-                                });
-                            }
-                            health.lock().record_failure(*winner_ep);
-                        }
-                        Resolution::Lost => {
-                            // Allocation expired, heartbeat vanished, or
-                            // the submission fell into a blackout: renew
-                            // the endpoint ("resubmit remaining tasks on a
-                            // second allocation", §5.8.1) and leave the
-                            // step pending so the next wave resubmits.
-                            charge_step_loss(
-                                &mut active,
-                                &index,
-                                fams,
-                                kind,
-                                &XtractError::TaskLost { task: id },
-                                &format!("{} task lost", kind.name()),
-                                retry,
-                                &mut ledger.lock(),
-                                &mut health.lock(),
-                                &mut report,
-                                &journal,
-                            );
-                            self.faas.renew_endpoint(*winner_ep);
-                        }
-                        Resolution::Cancelled => {
-                            // Only ever set by this orchestrator when a
-                            // hedge race was decided the other way; a
-                            // resolution can't carry it, and a cancelled
-                            // task must never be resubmitted — the family
-                            // already has its result.
-                        }
-                        Resolution::Unknown => {
-                            // The fabric has no record of a task we believe
-                            // we submitted — state is corrupt for these
-                            // families; retrying cannot reconcile it, so
-                            // they dead-letter rather than spin.
-                            for fid in fams {
-                                let Some(&i) = index.get(fid) else { continue };
-                                active[i].failed = Some(FailureReason::Internal {
-                                    reason: format!("task {id} unknown to the FaaS fabric"),
-                                });
-                            }
-                        }
-                        Resolution::Slow => {
-                            // Merely slow, not lost: each family's step
-                            // gets one free deadline extension — it stays
-                            // pending for the next wave without touching
-                            // the retry budget — and only a repeat overrun
-                            // charges like a loss.
-                            let mut repeat: Vec<FamilyId> = Vec::new();
-                            for fid in fams {
-                                let Some(&i) = index.get(fid) else { continue };
-                                let af = &mut active[i];
-                                if af.extended.insert(kind) {
-                                    af.timeline.push(FailureEvent {
-                                        wave: health.lock().now(),
-                                        endpoint: af.exec,
-                                        note: format!(
-                                            "{} deadline extended (slow, not lost)",
-                                            kind.name()
-                                        ),
-                                    });
-                                } else {
-                                    repeat.push(*fid);
-                                }
-                            }
-                            if !repeat.is_empty() {
-                                charge_step_loss(
-                                    &mut active,
-                                    &index,
-                                    &repeat,
-                                    kind,
-                                    &XtractError::TaskLost { task: id },
-                                    &format!("{} non-terminal after extended wait", kind.name()),
-                                    retry,
-                                    &mut ledger.lock(),
-                                    &mut health.lock(),
-                                    &mut report,
-                                    &journal,
-                                );
-                            }
-                        }
-                    }
-                }
-                // --- Adaptive feedback: fold this wave's observed latency,
-                // breach count, and breaker state into per-endpoint evidence
-                // and let the tuner adjust the next wave's batch limits. The
-                // wave-exact sample median is primary; the labeled histogram
-                // (fed here too, so it survives across waves) is the fallback
-                // when a wave resolved no productive samples. ---------------
-                if adaptive_on {
-                    let mut by_ep: BTreeMap<EndpointId, (u64, u64)> = BTreeMap::new();
-                    for e in &entries {
-                        let agg = by_ep.entry(e.batch.endpoint).or_default();
-                        agg.0 += e.fams.len() as u64;
-                        agg.1 += u64::from(e.breached);
-                    }
-                    for (ep, (fams, breaches)) in by_ep {
-                        let label = ep.to_string();
-                        let ep_hist = self.obs.hub.histogram_with(
-                            "task.latency_s",
-                            Some(&label),
-                            LATENCY_BOUNDS_S,
-                        );
-                        let mut samples = wave_lat.remove(&ep).unwrap_or_default();
-                        for &s in &samples {
-                            ep_hist.observe(s);
-                        }
-                        samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-                        let p50 = if samples.is_empty() {
-                            ep_hist.quantile(0.5)
-                        } else {
-                            Some(samples[(samples.len() - 1) / 2])
-                        };
-                        let evidence = WaveEvidence {
-                            p50_latency_s: p50,
-                            samples: samples.len() as u64,
-                            families: fams,
-                            breaches,
-                            breaker_open: health.lock().state(ep) == BreakerState::Open,
-                        };
-                        match tuner.observe_wave(ep, &evidence) {
-                            TuneDecision::Grew => tune_grow.incr(),
-                            TuneDecision::BackedOff => tune_backoff.incr(),
-                            TuneDecision::Held => {}
-                        }
-                    }
-                }
-                // --- Wave commit: one group commit journals everything
-                // this wave decided — completed steps, retry-budget deltas,
-                // hedge outcomes, newly dead families — then the wave
-                // marker. The scheduled kill-points sit exactly at this
-                // boundary, so a crashed run never leaves a half-journaled
-                // wave: either all of a wave's records are durable or none
-                // are. ----------------------------------------------------
-                if let Some(ctx) = rec {
-                    let wave_no = u64::from(report.waves);
-                    let mut batch = std::mem::take(&mut wave_flushes);
-                    {
-                        // Charges vs. what the log already holds: the delta
-                        // also captures charges the staging pool spent on
-                        // this family between waves.
-                        let l = ledger.lock();
-                        for af in active.iter().filter(|af| !af.migrated) {
-                            let id = af.family.id;
-                            let total = l.attempts(id);
-                            let prior = wal_charges.get(&id).copied().unwrap_or(0);
-                            if total > prior {
-                                batch.push(RecoveryRecord::RetryCharged {
-                                    family: id,
-                                    amount: total - prior,
-                                });
-                                wal_charges.insert(id, total);
-                            }
-                        }
-                    }
-                    for e in &entries {
-                        if let (Some((_, hep)), Some((_, wep))) = (e.hedge, &e.resolved) {
-                            for fid in &e.fams {
-                                batch.push(RecoveryRecord::HedgeResolved {
-                                    family: *fid,
-                                    endpoint: hep,
-                                    won: *wep == hep,
-                                });
-                            }
-                        }
-                    }
-                    {
-                        let l = ledger.lock();
-                        for af in active.iter().filter(|af| !af.migrated) {
-                            if let Some(reason) = &af.failed {
-                                if let std::collections::hash_map::Entry::Vacant(slot) =
-                                    wal_dead.entry(af.family.id)
-                                {
-                                    let mut letter = DeadLetter::new(
-                                        af.family.id,
-                                        reason.clone(),
-                                        l.attempts(af.family.id),
-                                    );
-                                    letter.timeline = af.timeline.clone();
-                                    slot.insert(letter.clone());
-                                    batch.push(RecoveryRecord::DeadLettered { letter });
-                                }
-                            }
-                        }
-                    }
-                    batch.push(RecoveryRecord::WaveCommitted { wave: wave_no });
-                    if crash.hit(CrashPoint::MidWave) {
-                        // Clean kill at the commit boundary: the wave's
-                        // records land, then the process "dies".
-                        batch.push(crash_record(CrashPoint::MidWave));
-                        ctx.log.append_batch(&batch)?;
-                        return Err(killed(CrashPoint::MidWave));
-                    }
-                    if crash.hit(CrashPoint::MidFlush) {
-                        // Dirty kill: the wave commits, then the process
-                        // dies halfway through writing one more frame. The
-                        // next open truncates the torn tail without losing
-                        // the committed prefix.
-                        batch.push(crash_record(CrashPoint::MidFlush));
-                        ctx.log.append_batch(&batch)?;
-                        ctx.log
-                            .append_torn(&RecoveryRecord::WaveCommitted { wave: wave_no })?;
-                        return Err(killed(CrashPoint::MidFlush));
-                    }
-                    ctx.log.append_batch(&batch)?;
-
-                    // Compaction: once the log spreads over enough
-                    // segments, restate live state as a snapshot in a fresh
-                    // segment and drop the history it supersedes.
-                    if ctx.log.segment_count()? >= ctx.log.policy().compact_segments as u64 {
-                        let mut snapshot = vec![RecoveryRecord::JobStarted {
-                            fingerprint: ctx.fingerprint,
-                        }];
-                        snapshot.extend(
-                            wal_crashes
-                                .iter()
-                                .map(|p| RecoveryRecord::CrashRecorded { point: p.clone() }),
-                        );
-                        snapshot.push(RecoveryRecord::CrawlCompleted {
-                            crawled_files: report.crawled_files,
-                            groups: report.groups,
-                            redundant_files: report.redundant_files,
-                        });
-                        snapshot.extend(
-                            planned_families
-                                .iter()
-                                .map(|f| RecoveryRecord::FamilyPlanned { family: f.clone() }),
-                        );
-                        // Each family's finished steps, from its own
-                        // list. A donated family's are restated by its
-                        // out-record below, which carries them.
-                        for af in active.iter().filter(|af| !af.migrated) {
-                            snapshot.extend(af.steps.iter().map(|s| {
-                                RecoveryRecord::StepCompleted {
-                                    family: af.family.id,
-                                    kind: s.kind,
-                                    metadata: Arc::clone(&s.metadata),
-                                    discoveries: s.discoveries.clone(),
-                                }
-                            }));
-                        }
-                        let mut charges: Vec<(FamilyId, u32)> = wal_charges
-                            .iter()
-                            .filter(|(_, n)| **n > 0)
-                            .map(|(f, n)| (*f, *n))
-                            .collect();
-                        charges.sort_unstable_by_key(|(f, _)| *f);
-                        snapshot.extend(charges.into_iter().map(|(family, amount)| {
-                            RecoveryRecord::RetryCharged { family, amount }
-                        }));
-                        // Migrations journaled this run segment, in order,
-                        // *after* the restated totals: an in-record takes
-                        // the max of its carried count and the restated
-                        // total (≥ carried by construction), so replaying
-                        // the snapshot never double-charges. Adopted
-                        // families join the restated plan here; donated
-                        // ones leave it.
-                        snapshot.extend(wal_migrations.iter().cloned());
-                        let mut dead: Vec<&DeadLetter> = wal_dead.values().collect();
-                        dead.sort_unstable_by_key(|l| l.family);
-                        snapshot.extend(dead.into_iter().map(|letter| {
-                            RecoveryRecord::DeadLettered {
-                                letter: letter.clone(),
-                            }
-                        }));
-                        let keep = ctx.log.begin_compaction(&snapshot)?;
-                        if crash.hit(CrashPoint::MidCompaction) {
-                            // Killed between writing the snapshot and
-                            // unlinking the old segments: the next open
-                            // finds both and finishes the unlink itself.
-                            ctx.log.append(&crash_record(CrashPoint::MidCompaction))?;
-                            return Err(killed(CrashPoint::MidCompaction));
-                        }
-                        let removed = ctx.log.finish_compaction(keep)?;
-                        journal.record(Event::SnapshotCompacted {
-                            records: snapshot.len() as u64 + 1,
-                            segments_removed: removed,
-                        });
-                    }
-                }
-                // Live ingest at the commit boundary: each touched
-                // family's merged-so-far document lands in the serving
-                // index under schema "live" (validation replaces it with
-                // the final record). Running *after* the group commit
-                // keeps the index trailing the log, so a crash here is
-                // re-converged by replay on resume.
-                if let Some(serving) = &serving {
-                    if !wave_touched.is_empty() {
-                        let recs: Vec<MetadataRecord> = active
-                            .iter()
-                            .filter(|af| !af.migrated && wave_touched.contains(&af.family.id))
-                            .map(|af| live_record(af.family.id, &af.steps))
-                            .collect();
-                        let n = recs.len() as u64;
-                        serving.ingest_all(recs);
-                        index_ingested.add(n);
-                        index_waves.incr();
-                        journal.record(Event::IndexWaveIngested {
-                            wave: u64::from(report.waves),
-                            records: n,
-                        });
-                    }
-                }
-                let extract_s = extract_started.elapsed().as_secs_f64();
-                let now_s = job_started.elapsed().as_secs_f64();
-                report.phases.add(Phase::Extract, extract_s);
-                report
-                    .phase_spans
-                    .push((Phase::Extract, now_s - extract_s, now_s));
+                    break;
+                };
+                engine.dispatch(&mut wave)?;
+                engine.poll(&mut wave);
+                engine.fold(&mut wave);
+                engine.tune(&mut wave);
+                engine.commit(&mut wave)?;
+                engine.ingest(&wave);
             }
-            // Closing the request channel retires the pool; the scope
-            // joins the workers on exit.
-            drop(req_tx);
-            Ok(())
-        })?;
-        report.phases.add(Phase::Stage, stage_spans.covered());
-        report.phase_spans.extend(
-            stage_spans
-                .intervals()
-                .iter()
-                .map(|&(s, e)| (Phase::Stage, s, e)),
-        );
-        let ledger = ledger.into_inner();
-        // --- Stage 6.5: clean staged copies once plans are done — every
-        // site the family ever staged at, not just the final one, so a
-        // reroute leaves nothing behind on the endpoint that went dark. ------
-        let index_started = Instant::now();
-        if spec.delete_after_extraction {
-            for af in &active {
-                for (site, base) in &af.staged_sites {
-                    if let Ok(ep) = self.fabric.get(*site) {
-                        let _ = ep.backend.remove(base);
-                    }
-                }
-            }
-        }
-
-        // --- Stage 7: validate and ship records to the user's chosen
-        // endpoint (§3). Every family terminates here, in exactly one of
-        // `records` or `failures`. -------------------------------------------
-        self.auth.check(token, Scope::Validate)?;
-        let dest = self
-            .fabric
-            .get(spec.results_endpoint.unwrap_or(primary.endpoint))?;
-        for af in &mut active {
-            // A donated family terminates on the shard that adopted it;
-            // this shard's out-record is its whole story here.
-            if af.migrated {
-                continue;
-            }
-            // The family's record or dead letter is minted in this
-            // iteration; its steps are released with it rather than held
-            // until the job returns.
-            let steps = std::mem::take(&mut af.steps);
-            let attempts = ledger.attempts(af.family.id);
-            if let Some(reason) = af.failed.take() {
-                let mut letter = DeadLetter::new(af.family.id, reason, attempts);
-                letter.timeline = std::mem::take(&mut af.timeline);
-                report.failures.push(letter);
-                continue;
-            }
-            // The document is folded here, once, and moved into the record.
-            let extractors = extractors_of(&steps);
-            let outcome = validate_and_encode(
-                &af.family,
-                fold_steps(steps.into_iter().map(|s| s.metadata)),
-                extractors,
-                &spec.validation,
-            );
-            match outcome {
-                Ok((record, bytes)) => {
-                    let path = format!("/metadata/fam-{}.json", af.family.id.raw());
-                    match dest.backend.write(&path, Bytes::from(bytes)) {
-                        Ok(()) => report.records.push(record),
-                        Err(e) => report.failures.push(DeadLetter::new(
-                            af.family.id,
-                            FailureReason::Internal {
-                                reason: format!("shipping record failed: {e}"),
-                            },
-                            attempts,
-                        )),
-                    }
-                }
-                Err(XtractError::ValidationFailed { schema, reason }) => {
-                    report.failures.push(DeadLetter::new(
-                        af.family.id,
-                        FailureReason::ValidationRejected { schema, reason },
-                        attempts,
-                    ))
-                }
-                Err(e) => report.failures.push(DeadLetter::new(
-                    af.family.id,
-                    FailureReason::Internal {
-                        reason: e.to_string(),
-                    },
-                    attempts,
-                )),
-            }
-        }
-        // `report.records` is exactly what validated *and* shipped. Those
-        // records replace the families' live wave-loop versions in the
-        // serving index as one batch, so each index shard publishes once.
-        if let Some(serving) = &serving {
-            if !report.records.is_empty() {
-                let records = report.records.len() as u64;
-                serving.ingest_all(report.records.iter().cloned());
-                index_ingested.add(records);
-                journal.record(Event::IndexValidated { records });
-            }
-        }
-        for letter in &report.failures {
-            journal.record(Event::DeadLettered {
-                family: letter.family,
-                reason: letter.reason.to_string(),
-            });
-        }
-        let index_s = index_started.elapsed().as_secs_f64();
-        let now_s = job_started.elapsed().as_secs_f64();
-        report.phases.add(Phase::Index, index_s);
-        report
-            .phase_spans
-            .push((Phase::Index, now_s - index_s, now_s));
-        // Terminal journal entries: dead letters minted after the wave
-        // loop (validation rejections, shipping failures) that the log
-        // does not hold yet, then the completion marker — resuming a
-        // finished job replays to a no-op.
-        if let Some(ctx) = rec {
-            let mut tail: Vec<RecoveryRecord> = Vec::new();
-            for letter in &report.failures {
-                if wal_dead.get(&letter.family) != Some(letter) {
-                    wal_dead.insert(letter.family, letter.clone());
-                    tail.push(RecoveryRecord::DeadLettered {
-                        letter: letter.clone(),
-                    });
-                }
-            }
-            tail.push(RecoveryRecord::JobCompleted);
-            ctx.log.append_batch(&tail)?;
-        }
-        Ok(report)
+            engine.finish()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use xtract_datafabric::{MemFs, StorageBackend};
     use xtract_types::config::ContainerRuntime;
-    use xtract_types::FaultPlan;
+    use xtract_types::CrashPoint;
 
     fn rig(files: u64) -> (XtractService, Token, JobSpec, Arc<DataFabric>) {
         let fabric = Arc::new(DataFabric::new());

@@ -600,8 +600,8 @@ impl ShardCoordinator {
 }
 
 /// One in-process shard's handle into the coordinator it shares memory
-/// with, threaded through the wave loop (`run_job_inner` consults it at
-/// every wave boundary).
+/// with, threaded through the wave loop (the engine's `shard_boundary`
+/// stage consults it at every wave boundary).
 pub(crate) struct ShardCtl {
     pub coord: Arc<ShardCoordinator>,
     pub shard: usize,
@@ -1099,7 +1099,7 @@ pub(crate) fn run_sharded(
         plan,
         custody,
     } = prepare_root(service, spec, dir, started)?;
-    let layout = resolve_and_seed(service, spec, dir, &plan, &custody)?;
+    let layout = resolve_and_seed(service, spec, dir, plan, &custody)?;
     let job = ShardedJob::new(service, spec, &root.log, &layout);
 
     std::thread::scope(|scope| {
@@ -1139,12 +1139,13 @@ pub(crate) fn run_sharded(
 /// Resolves family ownership across the shard WALs and seeds or repairs
 /// each shard's WAL so every family of `plan` is planned in exactly
 /// one. `custody` is the supervisor's replayed view of the moves it
-/// brokered (root-WAL `CustodyMoved` records; empty on a fresh run).
+/// brokered (root-WAL `CustodyMoved` records; empty on a fresh run). The
+/// plan arrives by value: each family moves into its shard's subset.
 pub(crate) fn resolve_and_seed(
     service: &XtractService,
     spec: &JobSpec,
     dir: &Path,
-    plan: &[Family],
+    plan: Vec<Family>,
     custody: &HashMap<FamilyId, u64>,
 ) -> Result<ShardLayout> {
     let shards = spec.shard.shards;
@@ -1236,15 +1237,10 @@ pub(crate) fn resolve_and_seed(
     // Prepare each shard's WAL: seed a fresh one with the job identity
     // and its subset of the plan; repair a crashed hand-over's missing
     // in-record from the donor's out-record ([`RecoveryRecord::flip_side`]).
-    let subsets: Vec<Vec<Family>> = (0..shards)
-        .map(|k| {
-            plan.iter()
-                .enumerate()
-                .filter(|(i, _)| owner[*i] == k)
-                .map(|(_, f)| f.clone())
-                .collect()
-        })
-        .collect();
+    let mut subsets: Vec<Vec<Family>> = vec![Vec::new(); shards];
+    for (family, &k) in plan.into_iter().zip(&owner) {
+        subsets[k].push(family);
+    }
     for (k, sd) in shard_dirs.iter().enumerate() {
         let mut batch = Vec::new();
         if fresh[k] {
@@ -1638,8 +1634,7 @@ mod tests {
     fn the_last_live_shard_strands_its_orphans_instead_of_adopting_them() {
         let (dir, service, spec) = scratch_job("strand");
         let (root, _) = RecoveryLog::open(&dir, spec.recovery).unwrap();
-        let orphan = migrant(1, 0).family;
-        let plan = std::slice::from_ref(&orphan);
+        let plan = vec![migrant(1, 0).family];
         let layout = resolve_and_seed(&service, &spec, &dir, plan, &HashMap::new()).unwrap();
         assert_eq!(layout.subsets[0].len(), 1);
         // Shard 1 already died; shard 0 — still `Running` — is dying now
@@ -1672,7 +1667,7 @@ mod tests {
         let (dir, service, spec) = scratch_job("supervise");
         let (root, _) = RecoveryLog::open(&dir, spec.recovery).unwrap();
         let plan: Vec<Family> = (1..=6).map(|i| migrant(i, 0).family).collect();
-        let layout = resolve_and_seed(&service, &spec, &dir, &plan, &HashMap::new()).unwrap();
+        let layout = resolve_and_seed(&service, &spec, &dir, plan, &HashMap::new()).unwrap();
         let orphans: Vec<FamilyId> = layout.subsets[0].iter().map(|f| f.id).collect();
         assert_eq!(orphans.len(), 3);
         // Shard 0's runner held its WAL at epoch 1 and is gone.

@@ -5,7 +5,7 @@
 //! roughly half the time it would take to merely move the bytes, because
 //! families extract while other families are still in flight. The live
 //! orchestrator realizes that overlap with a bounded pool of staging
-//! workers: `run_job_inner` submits [`StageRequest`]s over a channel, the
+//! workers: the wave engine submits [`StageRequest`]s over a channel, the
 //! pool prefetches each family via the `Arc`-shared `TransferService`,
 //! and [`StageOutcome`]s stream back into the wave loop — so wave 1 of
 //! already-local families dispatches while remote families are still
@@ -13,7 +13,7 @@
 //! channel instead of blocking the wave loop.
 //!
 //! The types live in their own module so the worker-pool plumbing in
-//! `service.rs` stays about control flow, not payload shape.
+//! `engine.rs` stays about control flow, not payload shape.
 
 use xtract_types::{EndpointId, FailureReason, Family, FileRecord};
 

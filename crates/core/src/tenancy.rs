@@ -17,8 +17,8 @@ use crate::resilience::HealthTracker;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use xtract_obs::{Event, Obs};
+use std::sync::{Arc, OnceLock};
+use xtract_obs::{Counter, Event, Obs};
 use xtract_types::id::IdAllocator;
 use xtract_types::{
     HedgePolicy, QuotaResource, Result, RetryPolicy, TenantId, TenantQuota, TenantSpec, XtractError,
@@ -110,6 +110,17 @@ impl QuotaLedger {
     }
 }
 
+/// A tenant's `quota.*` counters, labeled by its id. Each is interned by
+/// the first charge that needs it, so a snapshot lists a resource only once
+/// the tenant was charged for it; every later charge adds through the
+/// handle instead of formatting and looking up two strings.
+#[derive(Default)]
+struct QuotaCounters {
+    /// `quota.<resource>`, indexed by `QuotaResource as usize`.
+    charged: [OnceLock<Counter>; 4],
+    exhausted: OnceLock<Counter>,
+}
+
 /// One registered tenant's live state: its spec, its quota ledger, and
 /// its (lazily created) shared health tracker.
 pub struct TenantCtx {
@@ -118,6 +129,7 @@ pub struct TenantCtx {
     ledger: QuotaLedger,
     health: Mutex<Option<Arc<Mutex<HealthTracker>>>>,
     obs: Obs,
+    counters: QuotaCounters,
 }
 
 impl TenantCtx {
@@ -129,6 +141,7 @@ impl TenantCtx {
             ledger,
             health: Mutex::new(None),
             obs,
+            counters: QuotaCounters::default(),
         }
     }
 
@@ -159,12 +172,13 @@ impl TenantCtx {
                 resource: resource.name().to_string(),
                 amount,
             });
-            self.obs
-                .hub
-                .counter_with(
-                    &format!("quota.{}", resource.name()),
-                    Some(&self.id.to_string()),
-                )
+            self.counters.charged[resource as usize]
+                .get_or_init(|| {
+                    self.obs.hub.counter_with(
+                        &format!("quota.{}", resource.name()),
+                        Some(&self.id.to_string()),
+                    )
+                })
                 .add(amount);
             Ok(())
         } else {
@@ -172,9 +186,13 @@ impl TenantCtx {
                 tenant: self.id,
                 resource: resource.name().to_string(),
             });
-            self.obs
-                .hub
-                .counter_with("quota.exhausted", Some(&self.id.to_string()))
+            self.counters
+                .exhausted
+                .get_or_init(|| {
+                    self.obs
+                        .hub
+                        .counter_with("quota.exhausted", Some(&self.id.to_string()))
+                })
                 .incr();
             Err(XtractError::QuotaExhausted {
                 tenant: self.id,

@@ -822,7 +822,7 @@ pub fn run_proc_sharded(
     }
     root.log.append_batch(&fence_batch)?;
 
-    let layout = resolve_and_seed(service, spec, dir, &plan, &custody)?;
+    let layout = resolve_and_seed(service, spec, dir, plan, &custody)?;
 
     world.store(&dir.join(PROC_JOB_FILE))?;
     let sock_path = dir.join(COORD_SOCK);

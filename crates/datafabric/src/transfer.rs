@@ -144,25 +144,28 @@ impl LinkGate {
 struct LinkPermit<'a> {
     gate: &'a LinkGate,
     link: Link,
-    gauge: Option<xtract_obs::Gauge>,
+    gauge: Option<&'a xtract_obs::Gauge>,
 }
 
 impl Drop for LinkPermit<'_> {
     fn drop(&mut self) {
         self.gate.release(self.link);
-        if let Some(g) = &self.gauge {
+        if let Some(g) = self.gauge {
             g.dec();
         }
     }
 }
 
-/// The four `transfer.*` counters a submit updates, interned once so that
-/// a submit adds through handles instead of looking four names up.
+/// The `transfer.*` metrics a submit updates, interned once so that a
+/// submit adds through handles instead of looking five names up.
 struct TransferCounters {
     submits: xtract_obs::Counter,
     files_moved: xtract_obs::Counter,
     bytes_moved: xtract_obs::Counter,
     file_failures: xtract_obs::Counter,
+    /// `transfer.in_flight`, interned by the first submit: a service that
+    /// never moves a byte lists no gauge.
+    in_flight: std::sync::OnceLock<xtract_obs::Gauge>,
 }
 
 /// The transfer service.
@@ -209,6 +212,7 @@ impl TransferService {
             files_moved: obs.hub.counter("transfer.files_moved"),
             bytes_moved: obs.hub.counter("transfer.bytes_moved"),
             file_failures: obs.hub.counter("transfer.file_failures"),
+            in_flight: std::sync::OnceLock::new(),
         };
         svc.obs = Some((obs, counters));
         svc
@@ -271,8 +275,10 @@ impl TransferService {
         // Drop releases it on every path out, error or success.
         let link = (request.source, request.destination);
         self.gate.acquire(link);
-        let gauge = self.obs.as_ref().map(|(obs, _)| {
-            let g = obs.hub.gauge("transfer.in_flight");
+        let gauge = self.obs.as_ref().map(|(obs, counters)| {
+            let g = counters
+                .in_flight
+                .get_or_init(|| obs.hub.gauge("transfer.in_flight"));
             g.inc();
             g
         });

@@ -457,7 +457,9 @@ fn shed_job_resubmitted_with_recovery_converges() {
 /// Quota charging is exact under concurrent waves: for every tenant and
 /// resource, the ledger's spent total equals the sum of the journal's
 /// accepted charges and the labeled counter — and never exceeds the
-/// limit.
+/// limit. Tasks are lost along the way, and each job has one compute
+/// endpoint: no hedge can launch, so none may be charged — a tenant's spent
+/// invocations are exactly the invocations its reports count.
 #[test]
 fn quota_accounting_reconciles_with_journal_scan() {
     let fabric = Arc::new(DataFabric::new());
@@ -482,6 +484,12 @@ fn quota_accounting_reconciles_with_journal_scan() {
         spec.endpoints.push(storage_spec(src));
         specs.push(spec);
     }
+    // Armed service-wide while an alpha job runs: either tenant's results
+    // may go missing, and a lost task is the clearest hedge trigger.
+    specs[0].fault_plan = Some(FaultPlan {
+        heartbeat_loss_rate: 0.5,
+        ..FaultPlan::new(chaos_seed(702))
+    });
     let auth = Arc::new(AuthService::new());
     let token = full_token(&auth);
     let service = Arc::new(XtractService::new(fabric, auth, 42));
@@ -507,17 +515,25 @@ fn quota_accounting_reconciles_with_journal_scan() {
     // default 4-worker pool.
     let mut ids = Vec::new();
     for _ in 0..2 {
-        ids.push(svc.submit(ta, 0, token, specs[0].clone()).unwrap());
-        ids.push(svc.submit(tb, 0, token, specs[1].clone()).unwrap());
+        ids.push((ta, svc.submit(ta, 0, token, specs[0].clone()).unwrap()));
+        ids.push((tb, svc.submit(tb, 0, token, specs[1].clone()).unwrap()));
     }
-    for id in &ids {
+    // Per tenant: the invocations its jobs' reports count.
+    let mut invoked = std::collections::HashMap::new();
+    let mut resubmitted = 0;
+    for (tid, id) in &ids {
         assert!(matches!(
             svc.wait(*id, Duration::from_secs(120)).unwrap(),
             JobStatus::Complete { .. }
         ));
+        let report = svc.take_report(*id).unwrap().unwrap();
+        *invoked.entry(*tid).or_insert(0) += report.invocations.values().sum::<u64>();
+        resubmitted += report.resubmitted;
     }
+    assert!(resubmitted > 0, "the fault plan lost no task");
 
     let obs = svc.obs();
+    assert_eq!(obs.hub.counter_value("hedge.launched", None), 0);
     assert_eq!(
         obs.journal.dropped(),
         0,
@@ -526,10 +542,12 @@ fn quota_accounting_reconciles_with_journal_scan() {
     let events = obs.journal.events();
     for (tid, name) in [(ta, "alpha"), (tb, "beta")] {
         let ctx = svc.tenant(tid).unwrap();
-        assert!(
-            ctx.ledger().spent(QuotaResource::Invocations) > 0,
-            "{name} charged no invocations — the meter is dead"
+        assert_eq!(
+            ctx.ledger().spent(QuotaResource::Invocations),
+            invoked[&tid],
+            "{name} was charged for something other than its submitted invocations"
         );
+        assert!(invoked[&tid] > 0, "{name} invoked nothing");
         assert!(
             ctx.ledger().spent(QuotaResource::TransferBytes) > 0,
             "{name} charged no transfer bytes — staging went unmetered"
