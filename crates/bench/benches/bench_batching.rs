@@ -67,7 +67,7 @@ fn bench_quantile_ns() -> f64 {
 
 /// ns/call for one controller observe+limits round trip.
 fn bench_tuner_ns() -> f64 {
-    let mut t = AdaptiveTuner::new(AdaptiveBatching::enabled(), 2, 2);
+    let mut t = AdaptiveTuner::new(2, 2);
     let ep = EndpointId::new(0);
     let iters = 100_000u32;
     let t0 = Instant::now();

@@ -8,26 +8,29 @@
 //! breaker, or a pace regression).
 //!
 //! **Control law.** For each endpoint the controller keeps fractional
-//! knobs `(x, f)` clamped to the policy's `[floor, ceiling]` boxes. After
+//! knobs `(x, f)` clamped to the `[floor, ceiling]` boxes below. After
 //! each wave it receives a [`WaveEvidence`]:
 //!
 //! * distress (`breaches > 0` or `breaker_open`) → multiplicative
-//!   decrease: `x *= backoff`, `f *= backoff`; the pace baseline resets
+//!   decrease: `x *= BACKOFF`, `f *= BACKOFF`; the pace baseline resets
 //!   so the next clean wave re-anchors it.
-//! * a trusted pace (`samples >= min_wave_samples`) within `tolerance`
+//! * a trusted pace (`samples >= MIN_WAVE_SAMPLES`) within `TOLERANCE`
 //!   of the *best pace seen since the last backoff* → additive increase:
-//!   `x += grow_step`, `f += grow_step`.
-//! * a trusted pace that regressed beyond `tolerance` of that best →
+//!   `x += GROW_STEP`, `f += GROW_STEP`.
+//! * a trusted pace that regressed beyond `TOLERANCE` of that best →
 //!   multiplicative decrease.
 //! * too few samples → hold.
 //!
 //! Anchoring against the best-so-far (not the previous wave) is what
 //! makes the controller converge: near the throughput knee each single
-//! growth step degrades pace by less than `tolerance`, and a
+//! growth step degrades pace by less than `TOLERANCE`, and a
 //! previous-wave baseline would ratchet straight past the knee to the
 //! ceiling. Against the best anchor the small regressions *accumulate*
-//! until they cross `tolerance`, producing the classic AIMD sawtooth
+//! until they cross `TOLERANCE`, producing the classic AIMD sawtooth
 //! around the optimum.
+//!
+//! The clamps and gains are the constants below; `JobSpec::adaptive` is
+//! only the switch.
 //!
 //! "Pace" is the wave's p50 per-family completion latency divided by the
 //! number of families the wave carried — a size-normalized cost, so waves
@@ -41,11 +44,35 @@
 //!
 //! The poll-request width rides the same limits: a wave polling `n`
 //! outstanding tasks chunks them into requests of
-//! `(x * f).clamp(poll_floor, poll_ceiling)` ids, so poll fan-out grows
+//! `(x * f).clamp(POLL_FLOOR, POLL_CEILING)` ids, so poll fan-out grows
 //! and shrinks with dispatch fan-out.
 
 use std::collections::BTreeMap;
-use xtract_types::{AdaptiveBatching, EndpointId};
+use xtract_types::EndpointId;
+
+/// Smallest families-per-Xtract-batch the controller may choose.
+pub const XTRACT_FLOOR: usize = 1;
+/// Largest families-per-Xtract-batch the controller may choose.
+pub const XTRACT_CEILING: usize = 32;
+/// Smallest tasks-per-funcX-request the controller may choose.
+pub const FUNCX_FLOOR: usize = 1;
+/// Largest tasks-per-funcX-request the controller may choose.
+pub const FUNCX_CEILING: usize = 32;
+/// Additive increase applied to both knobs after a good wave.
+const GROW_STEP: usize = 2;
+/// Multiplicative decrease applied on pace regression, deadline
+/// breaches, or a breaker open.
+const BACKOFF: f64 = 0.65;
+/// Relative per-family pace worsening tolerated before a wave counts as a
+/// regression (absorbs sampling noise).
+const TOLERANCE: f64 = 0.15;
+/// Completion-latency samples a wave must contribute before its pace is
+/// trusted; thinner waves hold the current limits.
+const MIN_WAVE_SAMPLES: u64 = 4;
+/// Fewest task ids bundled into one batch-poll request.
+const POLL_FLOOR: usize = 16;
+/// Most task ids bundled into one batch-poll request.
+const POLL_CEILING: usize = 1024;
 
 /// The batching limits in force for one endpoint at one wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,18 +88,18 @@ pub struct BatchLimits {
 impl BatchLimits {
     /// Caps the funcX batch so one full request's invocation charge
     /// (`xtract * funcx` families) fits inside a tenant's remaining
-    /// invocation budget. The cap never drops below `funcx_floor`:
+    /// invocation budget. The cap never drops below [`FUNCX_FLOOR`]:
     /// when the budget is nearly spent the job still makes progress
     /// (and the quota ledger — which charges *before* submit — remains
     /// the authority that finally stops it).
-    pub fn cap_to_invocations(self, headroom: Option<u64>, funcx_floor: usize) -> Self {
+    pub fn cap_to_invocations(self, headroom: Option<u64>) -> Self {
         let Some(headroom) = headroom else {
             return self;
         };
         let per_task = self.xtract.max(1) as u64;
         let affordable = (headroom / per_task) as usize;
         Self {
-            funcx: self.funcx.min(affordable.max(funcx_floor)),
+            funcx: self.funcx.min(affordable.max(FUNCX_FLOOR)),
             ..self
         }
     }
@@ -118,10 +145,31 @@ struct EndpointCtl {
     best_pace: Option<f64>,
 }
 
+impl EndpointCtl {
+    fn clamp(&mut self) {
+        self.xtract = self
+            .xtract
+            .clamp(XTRACT_FLOOR as f64, XTRACT_CEILING as f64);
+        self.funcx = self.funcx.clamp(FUNCX_FLOOR as f64, FUNCX_CEILING as f64);
+    }
+
+    fn grow(&mut self) {
+        self.xtract += GROW_STEP as f64;
+        self.funcx += GROW_STEP as f64;
+        self.clamp();
+    }
+
+    fn back_off(&mut self) {
+        self.xtract *= BACKOFF;
+        self.funcx *= BACKOFF;
+        self.clamp();
+        self.best_pace = None;
+    }
+}
+
 /// The AIMD feedback controller (see module docs for the law).
 #[derive(Debug, Clone)]
 pub struct AdaptiveTuner {
-    policy: AdaptiveBatching,
     start_xtract: usize,
     start_funcx: usize,
     /// Clean growth steps to pre-apply when an endpoint is first seen —
@@ -132,12 +180,10 @@ pub struct AdaptiveTuner {
 }
 
 impl AdaptiveTuner {
-    /// A controller governed by `policy`, starting every endpoint at the
-    /// spec's static sizes clamped into the policy's boxes.
-    pub fn new(policy: AdaptiveBatching, start_xtract: usize, start_funcx: usize) -> Self {
-        debug_assert!(policy.validate().is_ok());
+    /// A controller starting every endpoint at the spec's static sizes
+    /// clamped into the boxes.
+    pub fn new(start_xtract: usize, start_funcx: usize) -> Self {
         Self {
-            policy,
             start_xtract,
             start_funcx,
             warm_steps: 0,
@@ -154,29 +200,6 @@ impl AdaptiveTuner {
         self
     }
 
-    fn clamp(&self, ctl: &mut EndpointCtl) {
-        let p = &self.policy;
-        ctl.xtract = ctl
-            .xtract
-            .clamp(p.xtract_floor as f64, p.xtract_ceiling as f64);
-        ctl.funcx = ctl
-            .funcx
-            .clamp(p.funcx_floor as f64, p.funcx_ceiling as f64);
-    }
-
-    fn grow(&self, ctl: &mut EndpointCtl) {
-        ctl.xtract += self.policy.grow_step as f64;
-        ctl.funcx += self.policy.grow_step as f64;
-        self.clamp(ctl);
-    }
-
-    fn back_off(&self, ctl: &mut EndpointCtl) {
-        ctl.xtract *= self.policy.backoff;
-        ctl.funcx *= self.policy.backoff;
-        self.clamp(ctl);
-        ctl.best_pace = None;
-    }
-
     fn state(&mut self, endpoint: EndpointId) -> &mut EndpointCtl {
         if !self.states.contains_key(&endpoint) {
             let mut ctl = EndpointCtl {
@@ -184,61 +207,50 @@ impl AdaptiveTuner {
                 funcx: self.start_funcx as f64,
                 best_pace: None,
             };
-            self.clamp(&mut ctl);
+            ctl.clamp();
             for _ in 0..self.warm_steps {
-                self.grow(&mut ctl);
+                ctl.grow();
             }
             self.states.insert(endpoint, ctl);
         }
         self.states.get_mut(&endpoint).expect("state just inserted")
     }
 
-    fn limits_of(&self, ctl: &EndpointCtl) -> BatchLimits {
-        let xtract = (ctl.xtract.round() as usize)
-            .clamp(self.policy.xtract_floor, self.policy.xtract_ceiling);
-        let funcx =
-            (ctl.funcx.round() as usize).clamp(self.policy.funcx_floor, self.policy.funcx_ceiling);
-        BatchLimits {
-            xtract,
-            funcx,
-            poll_chunk: (xtract * funcx).clamp(self.policy.poll_floor, self.policy.poll_ceiling),
-        }
-    }
-
-    /// The policy this controller enforces.
-    pub fn policy(&self) -> &AdaptiveBatching {
-        &self.policy
-    }
-
     /// Limits to build the next wave's batches with, for `endpoint`.
     pub fn limits(&mut self, endpoint: EndpointId) -> BatchLimits {
         let ctl = *self.state(endpoint);
-        self.limits_of(&ctl)
+        let xtract = (ctl.xtract.round() as usize).clamp(XTRACT_FLOOR, XTRACT_CEILING);
+        let funcx = (ctl.funcx.round() as usize).clamp(FUNCX_FLOOR, FUNCX_CEILING);
+        BatchLimits {
+            xtract,
+            funcx,
+            poll_chunk: (xtract * funcx).clamp(POLL_FLOOR, POLL_CEILING),
+        }
     }
 
     /// Feeds one completed wave's evidence back.
     pub fn observe_wave(&mut self, endpoint: EndpointId, evidence: &WaveEvidence) -> TuneDecision {
         let mut ctl = *self.state(endpoint);
         let decision = if evidence.breaches > 0 || evidence.breaker_open {
-            self.back_off(&mut ctl);
+            ctl.back_off();
             TuneDecision::BackedOff
-        } else if evidence.samples < self.policy.min_wave_samples || evidence.families == 0 {
+        } else if evidence.samples < MIN_WAVE_SAMPLES || evidence.families == 0 {
             TuneDecision::Held
         } else if let Some(p50) = evidence.p50_latency_s {
             let pace = p50 / evidence.families as f64;
             let verdict = match ctl.best_pace {
                 // First trusted wave since (re)anchor: optimistic growth.
                 None => TuneDecision::Grew,
-                Some(best) if pace <= best * (1.0 + self.policy.tolerance) => TuneDecision::Grew,
+                Some(best) if pace <= best * (1.0 + TOLERANCE) => TuneDecision::Grew,
                 Some(_) => TuneDecision::BackedOff,
             };
             match verdict {
                 TuneDecision::Grew => {
-                    self.grow(&mut ctl);
+                    ctl.grow();
                     ctl.best_pace = Some(ctl.best_pace.map_or(pace, |b| b.min(pace)));
                 }
                 TuneDecision::BackedOff => {
-                    self.back_off(&mut ctl);
+                    ctl.back_off();
                 }
                 TuneDecision::Held => {}
             }
@@ -260,10 +272,6 @@ mod tests {
         EndpointId::new(id)
     }
 
-    fn policy() -> AdaptiveBatching {
-        AdaptiveBatching::enabled()
-    }
-
     fn clean(p50: f64, families: u64) -> WaveEvidence {
         WaveEvidence {
             p50_latency_s: Some(p50),
@@ -276,7 +284,7 @@ mod tests {
 
     #[test]
     fn grows_while_pace_improves() {
-        let mut t = AdaptiveTuner::new(policy(), 2, 2);
+        let mut t = AdaptiveTuner::new(2, 2);
         let start = t.limits(ep(0));
         assert_eq!((start.xtract, start.funcx), (2, 2));
         // Bigger batches keep amortizing cost: pace falls wave over wave.
@@ -290,7 +298,7 @@ mod tests {
 
     #[test]
     fn backs_off_on_breach_and_breaker() {
-        let mut t = AdaptiveTuner::new(policy(), 16, 16);
+        let mut t = AdaptiveTuner::new(16, 16);
         let before = t.limits(ep(0));
         let d = t.observe_wave(
             ep(0),
@@ -316,7 +324,7 @@ mod tests {
 
     #[test]
     fn backs_off_on_pace_regression() {
-        let mut t = AdaptiveTuner::new(policy(), 8, 8);
+        let mut t = AdaptiveTuner::new(8, 8);
         assert_eq!(t.observe_wave(ep(0), &clean(1.0, 100)), TuneDecision::Grew);
         // Same families, much slower: pace regressed beyond tolerance.
         assert_eq!(
@@ -331,7 +339,7 @@ mod tests {
         // tolerance wave-over-wave, but compounding past it against the
         // anchored best. A previous-wave baseline would ratchet to the
         // ceiling here; the best-pace anchor must eventually back off.
-        let mut t = AdaptiveTuner::new(policy(), 8, 8);
+        let mut t = AdaptiveTuner::new(8, 8);
         assert_eq!(t.observe_wave(ep(0), &clean(1.0, 100)), TuneDecision::Grew);
         let mut p50 = 1.0;
         let mut decisions = Vec::new();
@@ -347,7 +355,7 @@ mod tests {
 
     #[test]
     fn thin_waves_hold() {
-        let mut t = AdaptiveTuner::new(policy(), 8, 8);
+        let mut t = AdaptiveTuner::new(8, 8);
         let before = t.limits(ep(0));
         let d = t.observe_wave(
             ep(0),
@@ -362,7 +370,7 @@ mod tests {
 
     #[test]
     fn endpoints_are_independent() {
-        let mut t = AdaptiveTuner::new(policy(), 8, 8);
+        let mut t = AdaptiveTuner::new(8, 8);
         t.observe_wave(
             ep(0),
             &WaveEvidence {
@@ -376,29 +384,25 @@ mod tests {
 
     #[test]
     fn warm_start_pre_applies_growth() {
-        let cold = AdaptiveTuner::new(policy(), 2, 2).limits(ep(0));
-        let warm = AdaptiveTuner::new(policy(), 2, 2)
+        let cold = AdaptiveTuner::new(2, 2).limits(ep(0));
+        let warm = AdaptiveTuner::new(2, 2)
             .with_replayed_waves(4)
             .limits(ep(0));
         assert_eq!(cold.xtract, 2);
-        assert_eq!(warm.xtract, 2 + 4 * policy().grow_step);
+        assert_eq!(warm.xtract, 2 + 4 * GROW_STEP);
         // Warm start saturates at the ceiling, never past it.
-        let capped = AdaptiveTuner::new(policy(), 2, 2)
+        let capped = AdaptiveTuner::new(2, 2)
             .with_replayed_waves(10_000)
             .limits(ep(0));
-        assert_eq!(capped.xtract, policy().xtract_ceiling);
-        assert_eq!(capped.funcx, policy().funcx_ceiling);
+        assert_eq!(capped.xtract, XTRACT_CEILING);
+        assert_eq!(capped.funcx, FUNCX_CEILING);
     }
 
     #[test]
     fn poll_chunk_tracks_limits_within_clamps() {
-        let p = policy();
-        let mut t = AdaptiveTuner::new(p, 2, 2);
+        let mut t = AdaptiveTuner::new(2, 2);
         let lim = t.limits(ep(0));
-        assert_eq!(
-            lim.poll_chunk,
-            (2usize * 2).clamp(p.poll_floor, p.poll_ceiling)
-        );
+        assert_eq!(lim.poll_chunk, (2usize * 2).clamp(POLL_FLOOR, POLL_CEILING));
     }
 
     #[test]
@@ -409,13 +413,13 @@ mod tests {
             poll_chunk: 128,
         };
         // 40 invocations left / 8 per task → at most 5 tasks per request.
-        assert_eq!(lim.cap_to_invocations(Some(40), 1).funcx, 5);
+        assert_eq!(lim.cap_to_invocations(Some(40)).funcx, 5);
         // No quota → untouched.
-        assert_eq!(lim.cap_to_invocations(None, 1).funcx, 16);
+        assert_eq!(lim.cap_to_invocations(None).funcx, 16);
         // Exhausted budget still leaves the floor.
-        assert_eq!(lim.cap_to_invocations(Some(0), 2).funcx, 2);
+        assert_eq!(lim.cap_to_invocations(Some(0)).funcx, FUNCX_FLOOR);
         // Ample budget never raises the limit.
-        assert_eq!(lim.cap_to_invocations(Some(1 << 40), 1).funcx, 16);
+        assert_eq!(lim.cap_to_invocations(Some(1 << 40)).funcx, 16);
     }
 
     fn arbitrary_evidence() -> impl Strategy<Value = WaveEvidence> {
@@ -445,18 +449,17 @@ mod tests {
             start_x in 0usize..64,
             start_f in 0usize..64,
         ) {
-            let p = policy();
-            let mut t = AdaptiveTuner::new(p, start_x, start_f);
+            let mut t = AdaptiveTuner::new(start_x, start_f);
             for ev in &evidence {
                 let lim = t.limits(ep(0));
-                prop_assert!((p.xtract_floor..=p.xtract_ceiling).contains(&lim.xtract));
-                prop_assert!((p.funcx_floor..=p.funcx_ceiling).contains(&lim.funcx));
-                prop_assert!((p.poll_floor..=p.poll_ceiling).contains(&lim.poll_chunk));
+                prop_assert!((XTRACT_FLOOR..=XTRACT_CEILING).contains(&lim.xtract));
+                prop_assert!((FUNCX_FLOOR..=FUNCX_CEILING).contains(&lim.funcx));
+                prop_assert!((POLL_FLOOR..=POLL_CEILING).contains(&lim.poll_chunk));
                 t.observe_wave(ep(0), ev);
             }
             let lim = t.limits(ep(0));
-            prop_assert!((p.xtract_floor..=p.xtract_ceiling).contains(&lim.xtract));
-            prop_assert!((p.funcx_floor..=p.funcx_ceiling).contains(&lim.funcx));
+            prop_assert!((XTRACT_FLOOR..=XTRACT_CEILING).contains(&lim.xtract));
+            prop_assert!((FUNCX_FLOOR..=FUNCX_CEILING).contains(&lim.funcx));
         }
 
         /// The controller is a pure function of the evidence sequence:
@@ -466,8 +469,8 @@ mod tests {
         fn decisions_are_deterministic(
             evidence in proptest::collection::vec(arbitrary_evidence(), 0..60),
         ) {
-            let mut a = AdaptiveTuner::new(policy(), 4, 4);
-            let mut b = AdaptiveTuner::new(policy(), 4, 4);
+            let mut a = AdaptiveTuner::new(4, 4);
+            let mut b = AdaptiveTuner::new(4, 4);
             for ev in &evidence {
                 prop_assert_eq!(a.limits(ep(7)), b.limits(ep(7)));
                 prop_assert_eq!(a.observe_wave(ep(7), ev), b.observe_wave(ep(7), ev));

@@ -1,13 +1,15 @@
-//! The campaign simulator: paper-scale experiments on a virtual clock.
+//! The campaign simulator: the paper's cost model on a virtual clock.
 //!
-//! Runs the same pipeline as the live service — crawl hand-off, optional
+//! Runs [`xtract_workloads::FamilyProfile`] streams through the calibrated
+//! cost models in `xtract_sim::calibration`: crawl hand-off, optional
 //! prefetch, two-level batching, FaaS dispatch, worker execution,
-//! allocation expiry + checkpointed restart — against
-//! [`xtract_workloads::FamilyProfile`] streams and the calibrated cost
-//! models in `xtract_sim::calibration`. A 2.5 M-group MDF campaign
-//! (Fig. 8) simulates in seconds of wall-clock.
+//! allocation expiry + checkpointed restart. A 2.5 M-group MDF campaign
+//! (Fig. 8) simulates in seconds of wall-clock. It models what the paper
+//! measures and nothing else: fault injection, hedging, breakers and
+//! dead letters are live policy and live in the engine and `xtract-faas`;
+//! the one piece of live code shared here is the [`AdaptiveTuner`].
 //!
-//! Model structure (each stage feeds the next stage's ready time):
+//! One staged pipeline, each stage feeding the next stage's ready time:
 //!
 //! 1. **Crawl** — family *i* becomes visible at
 //!    [`CrawlModel::family_ready_time`] (families stream out
@@ -15,19 +17,29 @@
 //! 2. **Prefetch** (optional) — families chunk into Globus-style transfer
 //!    jobs over a fair-share link with a concurrent-job cap (Fig. 6's "10
 //!    concurrent Globus transfer jobs").
-//! 3. **Batching** — families fuse into Xtract batches per extractor
-//!    class, then into funcX requests (§4.3.2); the dispatcher is a
-//!    serial resource costing `WS_REQUEST_S` + per-family serialization.
+//! 3. **Batching** ([`Run::fuse`], [`Dispatcher`]) — families fuse into
+//!    Xtract batches per extractor class, then into funcX requests
+//!    (§4.3.2); the dispatcher is a serial resource costing
+//!    `WS_REQUEST_S` + per-family serialization.
 //! 4. **Execution** — an [`xtract_sim::ServerPool`] of worker containers;
 //!    an Xtract batch runs serially on one worker (that is what makes
 //!    oversized batches straggle in Fig. 5).
-//! 5. **Allocation windows** — with a scheduler limit (Theta's 6 h),
-//!    work in flight at expiry is lost and resubmitted; the checkpoint
-//!    flag preserves finished families inside lost tasks (§5.8.1).
+//! 5. **Report** ([`Run::report`]).
+//!
+//! The static and the adaptive campaign differ only in stage 4's shape:
+//! [`Run::windows`] runs one batching pass through allocation windows
+//! with heavy/light worker pools in LPT order (with a scheduler limit,
+//! Theta's 6 h, work in flight at expiry is lost and resubmitted; the
+//! checkpoint flag preserves finished families inside lost tasks,
+//! §5.8.1); [`Run::blocks`] re-batches every control block on one shared
+//! pool and feeds the tuner.
+
+#![warn(clippy::too_many_lines)]
 
 use crate::adaptive::{AdaptiveTuner, WaveEvidence};
 use crate::crawlmodel::CrawlModel;
 use rand::rngs::SmallRng;
+use std::collections::{HashMap, HashSet};
 use xtract_obs::{Phase, PhaseTimings};
 
 use xtract_sim::calibration::{extractor_cost, faas};
@@ -35,11 +47,7 @@ use xtract_sim::dist::lognormal;
 use xtract_sim::net::{simulate_transfers, TransferJob, TransferSlots};
 use xtract_sim::sites::{LinkSpec, Site};
 use xtract_sim::{RngStreams, ServerPool, SimTime};
-use xtract_types::fault::fault_roll;
-use xtract_types::{
-    AdaptiveBatching, DeadLetter, EndpointId, ExtractorKind, FailureReason, FamilyId, FaultPlan,
-    HedgePolicy, TaskId, XtractError,
-};
+use xtract_types::{AdaptiveBatching, EndpointId};
 use xtract_workloads::FamilyProfile;
 
 /// Optional prefetch stage: move family bytes across a link before
@@ -84,30 +92,15 @@ pub struct CampaignConfig {
     /// for a non-checkpointed family's service time to exceed the
     /// allocation window, in which case it can never finish).
     pub max_attempts: u32,
-    /// Structured fault injection (`None` = no injected faults): worker
-    /// crashes and heartbeat losses strike executing tasks, degraded links
-    /// and transfer faults delay prefetch jobs — the same [`FaultPlan`]
-    /// the live service consumes, consulted deterministically from the
-    /// plan's own seed.
-    pub fault_plan: Option<FaultPlan>,
-    /// Straggler defense (`None` = no hedging): a crashed or
-    /// heartbeat-lost task is noticed at its adaptive deadline — the
-    /// class-mean estimate times the policy multiplier, clamped to the
-    /// policy floor/ceiling — and speculatively resubmitted then, instead
-    /// of waiting out the full (never-arriving) completion. Models the
-    /// live orchestrator's hedged re-execution on the virtual clock, for
-    /// Fig. 8-style rework-cost vs makespan comparisons.
-    pub hedge: Option<HedgePolicy>,
     /// Adaptive two-level batching (`None` = the static
     /// `xtract_batch`/`funcx_batch` grid point). When set (and enabled),
-    /// the campaign runs *synchronous waves*: each wave batches with the
-    /// [`AdaptiveTuner`]'s current limits, executes to a barrier, and
-    /// feeds the observed per-family latency median back into the
-    /// controller — the simulated analogue of the live orchestrator's
-    /// latency-feedback loop. `xtract_batch`/`funcx_batch` become the
-    /// controller's starting point rather than fixed sizes. Adaptive
-    /// campaigns model fault-free sweeps: `fault_plan`, `hedge`, and
-    /// allocation limits must be unset.
+    /// the campaign runs in *control blocks*: each block batches with the
+    /// [`AdaptiveTuner`]'s current limits and feeds the observed
+    /// per-family latency median back into the controller — the simulated
+    /// analogue of the live orchestrator's latency-feedback loop.
+    /// `xtract_batch`/`funcx_batch` become the controller's starting
+    /// point rather than fixed sizes. Adaptive campaigns do not model
+    /// allocation windows: the limit must be unset.
     pub adaptive: Option<AdaptiveBatching>,
 }
 
@@ -129,10 +122,16 @@ impl CampaignConfig {
             restart_overhead_s: 120.0,
             cold_start_s: 0.0,
             max_attempts: 10,
-            fault_plan: None,
-            hedge: None,
             adaptive: None,
         }
+    }
+
+    /// The allocation limit in force: the override, else the site's, else
+    /// none (infinite).
+    fn allocation_limit(&self) -> f64 {
+        self.allocation_limit_s
+            .or(self.site.allocation_limit_s)
+            .unwrap_or(f64::INFINITY)
     }
 }
 
@@ -170,24 +169,14 @@ pub struct CampaignReport {
     pub lost_families: u64,
     /// Families abandoned after `max_attempts` losses.
     pub failed_families: u64,
-    /// Hedged (deadline-triggered) speculative resubmissions launched.
-    pub hedges_launched: u64,
-    /// Hedged resubmissions whose task completed (or fully checkpointed
-    /// out). Always `hedges_launched == hedges_won + hedges_wasted`.
-    pub hedges_won: u64,
-    /// Hedged resubmissions lost again or abandoned.
-    pub hedges_wasted: u64,
-    /// One typed record per abandoned family (same shape as the live
-    /// report's dead letters).
-    pub dead_letters: Vec<DeadLetter>,
     /// When the crawl finished feeding families.
     pub crawl_finish: f64,
     /// When the last prefetch job finished (0 when no prefetch).
     pub transfer_finish: f64,
     /// Total bytes moved by prefetch.
     pub bytes_transferred: u64,
-    /// Per-wave `(xtract, funcx)` limits the adaptive controller used, in
-    /// wave order — the tuning trajectory. Empty for static campaigns.
+    /// Per-block `(xtract, funcx)` limits the adaptive controller used, in
+    /// block order — the tuning trajectory. Empty for static campaigns.
     pub batch_trajectory: Vec<(usize, usize)>,
     /// Per-phase virtual-time marks, in the same shape the live
     /// [`crate::JobReport`] uses. Campaign phases *overlap* (families
@@ -247,12 +236,6 @@ impl CampaignReport {
     }
 }
 
-struct SimTask {
-    family_idx: Vec<usize>,
-    services: Vec<f64>,
-    ready: SimTime,
-}
-
 /// Expected reference-core service seconds for a class (the lognormal
 /// mean `e^{mu + sigma^2/2}`).
 fn mean_ref_service(class: &str) -> f64 {
@@ -260,18 +243,69 @@ fn mean_ref_service(class: &str) -> f64 {
     (mu + sigma * sigma / 2.0).exp()
 }
 
-/// Best-effort mapping from a workload class string to the extractor
-/// family it exercises, for typed dead letters.
-fn class_kind(class: &str) -> ExtractorKind {
-    match class {
-        "csv" | "tabular" => ExtractorKind::Tabular,
-        "json" | "xml" | "yaml" => ExtractorKind::SemiStructured,
-        "images" | "imagesort" => ExtractorKind::Images,
-        "netcdf" | "hdf" | "ase" | "matio" => ExtractorKind::Hierarchical,
-        "bert" => ExtractorKind::Bert,
-        "python" => ExtractorKind::PythonCode,
-        "c-code" => ExtractorKind::CCode,
-        _ => ExtractorKind::Keyword,
+/// Classes whose expected service dwarfs the dispatch overhead. Xtract
+/// batching amortizes per-task overhead for *short* tasks; serializing
+/// several multi-hour extractor invocations behind one worker would
+/// manufacture exactly the stragglers §4.3.1 warns about (and Fig. 8's
+/// per-family durations show heavy MDF families executing as their own
+/// tasks), so a heavy class ships one family per task.
+fn is_heavy(class: &str) -> bool {
+    mean_ref_service(class) > 60.0
+}
+
+/// One Xtract batch: families of one class, run serially on one worker.
+struct Task {
+    /// `(family index, service seconds still to run)`.
+    members: Vec<(usize, f64)>,
+    /// Before dispatch, when the last member is visible; after, when the
+    /// task reaches the workers.
+    ready: SimTime,
+    attempt: u32,
+    heavy: bool,
+}
+
+impl Task {
+    /// Worker seconds the task occupies: endpoint dispatch + members.
+    fn service(&self) -> f64 {
+        faas::ENDPOINT_DISPATCH_S + self.work()
+    }
+
+    fn work(&self) -> f64 {
+        self.members.iter().map(|(_, s)| s).sum()
+    }
+}
+
+/// The funcX web service as a serial resource (§4.3.2): one request at a
+/// time, each costing `WS_REQUEST_S` plus per-family serialization.
+struct Dispatcher {
+    free: SimTime,
+    busy_s: f64,
+    requests: u64,
+}
+
+impl Dispatcher {
+    /// Stage 3b: sends `tasks`, in order, as requests of `funcx` tasks. A
+    /// request starts once the dispatcher is free, `floor` has passed and
+    /// its last member is visible; its tasks reach the workers when it
+    /// ends.
+    fn submit(&mut self, tasks: &mut [Task], funcx: usize, floor: SimTime) {
+        for chunk in tasks.chunks_mut(funcx) {
+            let visible = chunk.iter().map(|t| t.ready).max().unwrap_or(floor);
+            let families: usize = chunk.iter().map(|t| t.members.len()).sum();
+            // Superlinear payload cost (see calibration::faas): huge
+            // requests serialize worse than linearly.
+            let payload_factor = 1.0 + families as f64 / faas::PAYLOAD_KNEE_FAMILIES;
+            let duration = SimTime::from_secs(
+                faas::WS_REQUEST_S
+                    + families as f64 * faas::SERIALIZE_PER_FAMILY_S * payload_factor,
+            );
+            self.free = self.free.max(floor).max(visible) + duration;
+            self.busy_s += duration.as_secs();
+            self.requests += 1;
+            for t in chunk {
+                t.ready = self.free;
+            }
+        }
     }
 }
 
@@ -284,11 +318,41 @@ pub struct Campaign {
 impl Campaign {
     /// A campaign over `profiles` under `config`.
     pub fn new(config: CampaignConfig, profiles: Vec<FamilyProfile>) -> Self {
-        assert!(
-            config.workers <= config.site.max_workers().max(config.workers),
-            "worker count exceeds site capacity"
-        );
         Self { config, profiles }
+    }
+
+    /// Runs the campaign: stages 1–3 are the same pipeline for both
+    /// shapes; execution is [`Run::blocks`] when
+    /// [`CampaignConfig::adaptive`] is set and enabled, [`Run::windows`]
+    /// otherwise.
+    pub fn run(&self) -> CampaignReport {
+        let (ready, crawl_finish, transfer_finish, bytes_transferred) = self.arrivals();
+        let mut order: Vec<usize> = (0..self.profiles.len()).collect();
+        order.sort_by(|&a, &b| ready[a].cmp(&ready[b]).then(a.cmp(&b)));
+        let mut run = Run {
+            c: self,
+            ready,
+            crawl_finish,
+            transfer_finish,
+            bytes_transferred,
+            service_rng: RngStreams::new(self.config.seed).stream("campaign-service"),
+            dispatcher: Dispatcher {
+                free: SimTime::ZERO,
+                busy_s: 0.0,
+                requests: 0,
+            },
+            outcomes: Vec::with_capacity(order.len()),
+            busy: 0.0,
+            restarts: 0,
+            lost: HashSet::new(),
+            failed: 0,
+            trajectory: Vec::new(),
+        };
+        match self.config.adaptive {
+            Some(policy) if policy.enabled => run.blocks(&order),
+            _ => run.windows(&order),
+        }
+        run.report()
     }
 
     /// Samples one family's service time on this site's cores.
@@ -304,19 +368,18 @@ impl Campaign {
         lognormal(rng, mu, sigma).min(REF_SERVICE_CAP_S) / self.config.site.core_speed
     }
 
-    /// Runs the campaign: the adaptive synchronous-wave path when
-    /// [`CampaignConfig::adaptive`] is set and enabled, the fully
-    /// pipelined static path otherwise.
-    pub fn run(&self) -> CampaignReport {
-        match self.config.adaptive {
-            Some(policy) if policy.enabled => self.run_adaptive(policy),
-            _ => self.run_static(),
-        }
+    /// What the service expects `task` to take, in reference-core
+    /// seconds: class means, not the sampled truth.
+    fn ref_estimate(&self, task: &Task) -> f64 {
+        task.members
+            .iter()
+            .map(|&(fi, _)| mean_ref_service(self.profiles[fi].class))
+            .sum()
     }
 
-    /// Stages 1–2 (crawl arrival + optional prefetch), shared by both
-    /// execution paths: per-family visibility instants, the crawl and
-    /// transfer finish marks, and bytes moved.
+    /// Stages 1–2 (crawl arrival + optional prefetch): per-family
+    /// visibility instants, the crawl and transfer finish marks, and
+    /// bytes moved.
     fn arrivals(&self) -> (Vec<SimTime>, SimTime, SimTime, u64) {
         let cfg = &self.config;
         let n = self.profiles.len();
@@ -359,481 +422,265 @@ impl Campaign {
                 TransferSlots::new(plan.slots),
                 &jobs,
             );
-            for (j, (job, members)) in outcomes.iter().zip(&job_members).enumerate() {
-                // Injected link faults delay the job: a transient fault
-                // costs one retried submission (another startup), a
-                // degraded link adds the plan's configured stall.
-                let mut extra_s = 0.0;
-                if let Some(fp) = &cfg.fault_plan {
-                    let path = format!("/sim/xfer-{j}");
-                    if fp.transfer_file_faults(&path, 0) {
-                        extra_s += plan.link.startup_s;
-                    }
-                    if fp.link_degraded(&path, 0) {
-                        extra_s += fp.slow_link_delay_ms as f64 / 1000.0;
-                    }
-                }
-                let finish = job.finish + SimTime::from_secs(extra_s);
-                transfer_finish = transfer_finish.max(finish);
+            for (job, members) in outcomes.iter().zip(&job_members) {
+                transfer_finish = transfer_finish.max(job.finish);
                 for &i in members {
-                    ready[i] = finish;
+                    ready[i] = job.finish;
                 }
             }
             bytes_transferred = jobs.iter().map(|j| j.bytes).sum();
         }
         (ready, crawl_finish, transfer_finish, bytes_transferred)
     }
+}
 
-    /// The static pipeline: one batching pass over the whole campaign at
-    /// the configured grid point, fully pipelined through dispatcher and
-    /// workers.
-    fn run_static(&self) -> CampaignReport {
-        let cfg = &self.config;
-        let streams = RngStreams::new(cfg.seed);
-        let mut service_rng = streams.stream("campaign-service");
-        let n = self.profiles.len();
-        let (ready, crawl_finish, transfer_finish, bytes_transferred) = self.arrivals();
+/// What one campaign accumulates on its way through the stages.
+struct Run<'a> {
+    c: &'a Campaign,
+    /// Per-family visibility instants (stages 1–2).
+    ready: Vec<SimTime>,
+    crawl_finish: SimTime,
+    transfer_finish: SimTime,
+    bytes_transferred: u64,
+    service_rng: SmallRng,
+    dispatcher: Dispatcher,
+    outcomes: Vec<FamilyOutcome>,
+    /// Worker-busy seconds, lost work included.
+    busy: f64,
+    restarts: u32,
+    /// Families lost at least once.
+    lost: HashSet<usize>,
+    failed: u64,
+    trajectory: Vec<(usize, usize)>,
+}
 
-        // Stage 3: batching + dispatch. Families in ready order fuse into
-        // per-class Xtract batches; full batches fuse into funcX requests
-        // through a serial dispatcher.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| ready[a].cmp(&ready[b]).then(a.cmp(&b)));
-
-        let mut open: std::collections::HashMap<&'static str, (Vec<usize>, Vec<f64>, SimTime)> =
-            Default::default();
-        let mut tasks: Vec<SimTask> = Vec::new();
-        let mut close_order: Vec<usize> = Vec::new(); // indices into tasks
-        for &i in &order {
-            let p = &self.profiles[i];
-            let svc = self.sample_service(p.class, &mut service_rng);
-            // Xtract batching amortizes per-task overhead for *short*
-            // tasks; serializing several multi-hour extractor invocations
-            // behind one worker would manufacture exactly the stragglers
-            // §4.3.1 warns about (and Fig. 8's per-family durations show
-            // heavy MDF families executing as their own tasks). Classes
-            // whose expected service dwarfs the dispatch overhead
-            // therefore ship one family per task.
-            let batch_cap = if mean_ref_service(p.class) > 60.0 {
-                1
-            } else {
-                cfg.xtract_batch
-            };
-            let entry = open
-                .entry(p.class)
-                .or_insert_with(|| (Vec::new(), Vec::new(), SimTime::ZERO));
-            entry.0.push(i);
-            entry.1.push(svc);
-            entry.2 = entry.2.max(ready[i]);
-            if entry.0.len() >= batch_cap {
-                let (family_idx, services, batch_ready) = open.remove(p.class).expect("open");
-                close_order.push(tasks.len());
-                tasks.push(SimTask {
-                    family_idx,
-                    services,
-                    ready: batch_ready,
-                });
-            }
-        }
-        // Flush stragglers deterministically.
-        let mut leftovers: Vec<&'static str> = open.keys().copied().collect();
-        leftovers.sort_unstable();
-        for class in leftovers {
-            let (family_idx, services, batch_ready) = open.remove(class).expect("open");
-            close_order.push(tasks.len());
-            tasks.push(SimTask {
-                family_idx,
-                services,
-                ready: batch_ready,
-            });
-        }
-
-        // funcX requests over the serial dispatcher. Heavy-class tasks
-        // are prioritized in the submission queue — the paper's MDF run
-        // visibly submitted its long-duration tasks first ("many
-        // long-duration tasks saturate multiple funcX workers" in the
-        // first hour, §5.8.1), which is what keeps the multi-hour ASE
-        // tail from starting late and overhanging the makespan.
-        let mut dispatch_order = close_order.clone();
-        dispatch_order.sort_by(|&a, &b| {
-            let heavy = |t: &SimTask| {
-                t.family_idx
-                    .iter()
-                    .any(|&fi| mean_ref_service(self.profiles[fi].class) > 60.0)
-            };
-            heavy(&tasks[b]).cmp(&heavy(&tasks[a])).then(a.cmp(&b))
-        });
-        let mut ws_requests = 0u64;
-        let mut dispatcher_busy_s = 0.0f64;
-        let mut dispatcher_free = SimTime::ZERO;
-        let mut task_worker_ready: Vec<SimTime> = vec![SimTime::ZERO; tasks.len()];
-        for chunk in dispatch_order.chunks(cfg.funcx_batch) {
-            let members_ready = chunk
+impl Run<'_> {
+    /// Stage 3a: fuses `families` (in ready order) into per-class Xtract
+    /// batches of `cap` members, one for a heavy class, sampling each
+    /// member's service time as it goes. Partial batches flush at the end
+    /// in class order. A task is ready when its last member is visible.
+    fn fuse(&mut self, families: &[usize], cap: usize) -> Vec<Task> {
+        let ready = &self.ready;
+        let task = |heavy: bool, members: Vec<(usize, f64)>| Task {
+            ready: members
                 .iter()
-                .map(|&t| tasks[t].ready)
+                .map(|&(i, _)| ready[i])
                 .max()
-                .unwrap_or(SimTime::ZERO);
-            let families: usize = chunk.iter().map(|&t| tasks[t].family_idx.len()).sum();
-            // Superlinear payload cost (see calibration::faas): huge
-            // requests serialize worse than linearly.
-            let payload_factor = 1.0 + families as f64 / faas::PAYLOAD_KNEE_FAMILIES;
-            let duration = SimTime::from_secs(
-                faas::WS_REQUEST_S
-                    + families as f64 * faas::SERIALIZE_PER_FAMILY_S * payload_factor,
-            );
-            let start = dispatcher_free.max(members_ready);
-            dispatcher_free = start + duration;
-            dispatcher_busy_s += duration.as_secs();
-            ws_requests += 1;
-            for &t in chunk {
-                task_worker_ready[t] = dispatcher_free;
-            }
-        }
-
-        // Stage 4/5: execution in allocation windows.
-        let alloc_limit = cfg
-            .allocation_limit_s
-            .or(cfg.site.allocation_limit_s)
-            .unwrap_or(f64::INFINITY);
-        // Execution queue: (task, remaining services per family, attempt).
-        struct Pending {
-            task: usize,
-            remaining: Vec<(usize, f64)>, // (family idx, remaining service)
-            ready: SimTime,
-            attempt: u32,
-            /// This attempt is a hedged (early, deadline-triggered)
-            /// resubmission; its fate decides hedges_won vs hedges_wasted.
-            hedged: bool,
-        }
-        let mut queue: std::collections::VecDeque<Pending> = dispatch_order
-            .iter()
-            .map(|&t| Pending {
-                task: t,
-                remaining: tasks[t]
-                    .family_idx
-                    .iter()
-                    .copied()
-                    .zip(tasks[t].services.iter().copied())
-                    .collect(),
-                ready: task_worker_ready[t],
-                attempt: 1,
-                hedged: false,
-            })
-            .collect();
-        // Heavy-class tasks run longest-processing-time-first: "The
-        // higher throughput in the first hour is due to the order of task
-        // submission, as many long-duration tasks saturate multiple funcX
-        // workers" (§5.8.1) — Fig. 8's multi-hour families all start
-        // early, and LPT is what keeps a lone four-hour family from
-        // straddling the allocation boundary. Light tasks stay in
-        // dispatch (FIFO) order so the millions of small families flow
-        // continuously — the paper's early throughput peak.
-        let heavy_pending = |p: &Pending, profiles: &[FamilyProfile]| {
-            p.remaining
-                .iter()
-                .any(|&(fi, _)| mean_ref_service(profiles[fi].class) > 60.0)
+                .unwrap_or(SimTime::ZERO),
+            members,
+            attempt: 1,
+            heavy,
         };
-        queue.make_contiguous().sort_by(|a, b| {
-            let (ha, hb) = (
-                heavy_pending(a, &self.profiles),
-                heavy_pending(b, &self.profiles),
-            );
-            hb.cmp(&ha)
-                .then_with(|| {
-                    if ha && hb {
-                        let sa: f64 = a.remaining.iter().map(|(_, s)| s).sum();
-                        let sb: f64 = b.remaining.iter().map(|(_, s)| s).sum();
-                        sb.total_cmp(&sa)
-                    } else {
-                        a.ready.cmp(&b.ready)
-                    }
-                })
-                .then(a.task.cmp(&b.task))
-        });
-
-        let mut outcomes: Vec<FamilyOutcome> = Vec::with_capacity(n);
-        let mut busy = 0.0f64;
-        let mut restarts = 0u32;
-        let mut lost_once: std::collections::HashSet<usize> = Default::default();
-        let mut failed_families = 0u64;
-        let mut hedges_launched = 0u64;
-        let mut hedges_won = 0u64;
-        let mut hedges_wasted = 0u64;
-        let mut dead_letters: Vec<DeadLetter> = Vec::new();
-        let mut window_start = SimTime::ZERO;
-        let mut safety = 0u32;
-        while !queue.is_empty() {
-            safety += 1;
-            assert!(safety < 100_000, "campaign failed to converge");
-            // An allocation is requested when there is runnable work: if
-            // everything in the queue only becomes ready later (transfers
-            // in flight), the window starts then.
-            let min_ready = queue.iter().map(|p| p.ready).min().unwrap_or(window_start);
-            window_start = window_start.max(min_ready);
-            // `alloc_limit` may be infinite; keep the boundary as raw f64.
-            let window_end_s = window_start.as_secs() + alloc_limit;
-            // Workers split between heavy-class and light-class work in
-            // proportion to their shares of remaining service: heavy
-            // families (the multi-hour ASE grind) would otherwise starve
-            // the millions of light families until the end, inverting
-            // Fig. 8's high-early-throughput curve. In the pull-based
-            // real system light tasks flow through whatever workers the
-            // heavy tasks leave free, continuously.
-            let is_heavy = |p: &Pending| {
-                p.remaining
-                    .iter()
-                    .any(|&(fi, _)| mean_ref_service(self.profiles[fi].class) > 60.0)
-            };
-            let heavy_work: f64 = queue
-                .iter()
-                .filter(|p| is_heavy(p))
-                .flat_map(|p| p.remaining.iter().map(|(_, s)| s))
-                .sum();
-            let light_work: f64 = queue
-                .iter()
-                .filter(|p| !is_heavy(p))
-                .flat_map(|p| p.remaining.iter().map(|(_, s)| s))
-                .sum();
-            let total_work = heavy_work + light_work;
-            let heavy_workers = if heavy_work == 0.0 || light_work == 0.0 {
-                if heavy_work > 0.0 {
-                    cfg.workers
-                } else {
-                    0
-                }
-            } else {
-                ((cfg.workers as f64 * heavy_work / total_work).round() as usize)
-                    .clamp(1, cfg.workers - 1)
-            };
-            let pool_start = window_start + SimTime::from_secs(cfg.cold_start_s);
-            let mut pool_heavy = if heavy_workers > 0 {
-                Some(ServerPool::free_from(heavy_workers, pool_start))
-            } else {
-                None
-            };
-            let mut pool_light = if cfg.workers - heavy_workers > 0 {
-                Some(ServerPool::free_from(
-                    cfg.workers - heavy_workers,
-                    pool_start,
-                ))
-            } else {
-                None
-            };
-            let mut next_queue: std::collections::VecDeque<Pending> = Default::default();
-            while let Some(p) = queue.pop_front() {
-                let pool: &mut ServerPool = if is_heavy(&p) {
-                    pool_heavy
-                        .as_mut()
-                        .expect("heavy pool exists for heavy work")
-                } else {
-                    pool_light
-                        .as_mut()
-                        .expect("light pool exists for light work")
-                };
-                let service: f64 =
-                    faas::ENDPOINT_DISPATCH_S + p.remaining.iter().map(|(_, s)| s).sum::<f64>();
-                // Boundary backfill: the service tracks expected per-class
-                // durations, and does not *start* a task whose estimate
-                // cannot finish before the allocation expires — it is
-                // resubmitted on the next allocation instead. (Estimates
-                // are class means, not the true sampled duration, so
-                // heavy-tailed tasks can still genuinely straddle and be
-                // lost, as in §5.8.1.)
-                let estimate: f64 = p
-                    .remaining
-                    .iter()
-                    .map(|&(fi, _)| mean_ref_service(self.profiles[fi].class))
-                    .sum::<f64>()
-                    / cfg.site.core_speed;
-                let would_start = p.ready.max(window_start).max(pool.earliest_free());
-                let defer = would_start.as_secs() >= window_end_s
-                    || (would_start.as_secs() + estimate > window_end_s && estimate < alloc_limit);
-                if defer {
-                    next_queue.push_back(Pending {
-                        ready: SimTime::from_secs(
-                            (window_end_s + cfg.restart_overhead_s).min(f64::MAX / 4.0),
-                        )
-                        .max(p.ready),
-                        ..p
-                    });
-                    continue;
-                }
-                let a = pool.assign(p.ready.max(window_start), SimTime::from_secs(service));
-                // Injected worker crashes / heartbeat losses strike the
-                // task deterministically, keyed on (task, attempt) — a
-                // resubmission re-rolls, exactly like the live fabric's
-                // fresh-task-id semantics.
-                let crash_key = (p.task as u64) << 10 | u64::from(p.attempt);
-                let crashed = cfg
-                    .fault_plan
-                    .as_ref()
-                    .is_some_and(|fp| fp.worker_crashes(crash_key) || fp.heartbeat_lost(crash_key));
-                if a.finish.as_secs() <= window_end_s && !crashed {
-                    // Whole task fits: all member families complete.
-                    if p.hedged {
-                        hedges_won += 1;
-                    }
-                    let mut t = a.start.as_secs() + faas::ENDPOINT_DISPATCH_S;
-                    busy += service;
-                    for &(fi, svc) in &p.remaining {
-                        t += svc;
-                        outcomes.push(FamilyOutcome {
-                            class: self.profiles[fi].class,
-                            ready: ready[fi].as_secs(),
-                            start: a.start.as_secs(),
-                            finish: t,
-                            attempts: p.attempt,
-                            service: svc,
-                        });
-                    }
-                } else {
-                    // Task straddles the expiry (§5.8.1) or its worker
-                    // crashed partway through: in-flight work is lost.
-                    // With the checkpoint flag, member families whose
-                    // metadata already flushed survive.
-                    let straddled = a.finish.as_secs() > window_end_s;
-                    let ran = if straddled {
-                        (window_end_s - a.start.as_secs() - faas::ENDPOINT_DISPATCH_S).max(0.0)
-                    } else {
-                        // The crash lands a deterministic fraction of the
-                        // way through the task's execution.
-                        let fp = cfg.fault_plan.as_ref().expect("crashed implies a plan");
-                        service * fault_roll(fp.seed, "crash-point", crash_key)
-                    };
-                    busy += ran.min(service);
-                    let mut elapsed = 0.0;
-                    let mut survivors: Vec<(usize, f64)> = Vec::new();
-                    for &(fi, svc) in &p.remaining {
-                        let done_at = elapsed + svc;
-                        if cfg.checkpoint && done_at <= ran {
-                            // Flushed before the expiry: completed.
-                            outcomes.push(FamilyOutcome {
-                                class: self.profiles[fi].class,
-                                ready: ready[fi].as_secs(),
-                                start: a.start.as_secs(),
-                                finish: a.start.as_secs() + faas::ENDPOINT_DISPATCH_S + done_at,
-                                attempts: p.attempt,
-                                service: svc,
-                            });
-                        } else {
-                            lost_once.insert(fi);
-                            survivors.push((fi, svc));
-                        }
-                        elapsed = done_at;
-                    }
-                    if p.hedged {
-                        // A hedged attempt's fate lands exactly once: all
-                        // member families checkpointed out means the hedge
-                        // still paid off; any survivor means it was wasted
-                        // work (a further hedge may launch below).
-                        if survivors.is_empty() {
-                            hedges_won += 1;
-                        } else {
-                            hedges_wasted += 1;
-                        }
-                    }
-                    if !survivors.is_empty() {
-                        if p.attempt >= cfg.max_attempts {
-                            failed_families += survivors.len() as u64;
-                            for &(fi, _) in &survivors {
-                                dead_letters.push(DeadLetter::new(
-                                    FamilyId::new(fi as u64),
-                                    FailureReason::RetryBudgetExhausted {
-                                        extractor: class_kind(self.profiles[fi].class),
-                                        error: XtractError::TaskLost {
-                                            task: TaskId::new(p.task as u64),
-                                        },
-                                    },
-                                    p.attempt,
-                                ));
-                            }
-                        } else {
-                            // Crash resubmissions are ready as soon as the
-                            // loss is noticed; expiry losses wait for the
-                            // next allocation window. With the straggler
-                            // defense armed, a crashed task is noticed at
-                            // its adaptive deadline (estimate × multiplier,
-                            // clamped to the policy bounds) and hedged
-                            // then, instead of waiting out a completion
-                            // that never comes.
-                            let hedging =
-                                !straddled && cfg.hedge.as_ref().is_some_and(|h| h.enabled);
-                            let retry_ready = if straddled {
-                                SimTime::from_secs(window_end_s + cfg.restart_overhead_s)
-                            } else if hedging {
-                                let hp = cfg.hedge.as_ref().expect("hedging implies a policy");
-                                let deadline_s = (estimate * hp.deadline_multiplier)
-                                    .max(hp.deadline_floor_ms as f64 / 1000.0)
-                                    .min(hp.deadline_ceiling_ms as f64 / 1000.0);
-                                hedges_launched += 1;
-                                a.finish
-                                    .min(SimTime::from_secs(a.start.as_secs() + deadline_s))
-                            } else {
-                                a.finish
-                            };
-                            next_queue.push_back(Pending {
-                                task: p.task,
-                                remaining: survivors,
-                                ready: retry_ready,
-                                attempt: p.attempt + 1,
-                                hedged: hedging,
-                            });
-                        }
-                    }
-                }
+        let mut open: HashMap<&'static str, Vec<(usize, f64)>> = HashMap::new();
+        let mut tasks = Vec::new();
+        for &i in families {
+            let class = self.c.profiles[i].class;
+            let svc = self.c.sample_service(class, &mut self.service_rng);
+            let heavy = is_heavy(class);
+            let members = open.entry(class).or_default();
+            members.push((i, svc));
+            if members.len() >= if heavy { 1 } else { cap } {
+                let full = open.remove(class).expect("just pushed");
+                tasks.push(task(heavy, full));
             }
-            if next_queue.is_empty() {
-                break;
-            }
-            if window_end_s.is_finite() {
-                restarts += 1;
-                window_start = SimTime::from_secs(window_end_s + cfg.restart_overhead_s);
-            }
-            ws_requests += next_queue.len().div_ceil(cfg.funcx_batch) as u64;
-            queue = next_queue;
         }
+        let mut leftovers: Vec<_> = open.into_iter().collect();
+        leftovers.sort_unstable_by_key(|&(class, _)| class);
+        tasks.extend(
+            leftovers
+                .into_iter()
+                .map(|(class, m)| task(is_heavy(class), m)),
+        );
+        tasks
+    }
 
-        outcomes.sort_by(|a, b| a.finish.total_cmp(&b.finish));
-        let makespan = outcomes.last().map_or(0.0, |o| o.finish);
-        let mut phases = PhaseTimings::new();
-        phases.add(Phase::Crawl, crawl_finish.as_secs());
-        phases.add(Phase::Stage, transfer_finish.as_secs());
-        phases.add(Phase::Dispatch, dispatcher_busy_s);
-        phases.add(Phase::Extract, busy / cfg.workers as f64);
-        CampaignReport {
-            outcomes,
-            makespan,
-            busy_core_seconds: busy,
-            ws_requests,
-            restarts,
-            lost_families: lost_once.len() as u64,
-            failed_families,
-            hedges_launched,
-            hedges_won,
-            hedges_wasted,
-            dead_letters,
-            crawl_finish: crawl_finish.as_secs(),
-            transfer_finish: transfer_finish.as_secs(),
-            bytes_transferred,
-            batch_trajectory: Vec::new(),
-            phases,
+    fn outcome(&mut self, fi: usize, service: f64, start: SimTime, finish: f64, attempts: u32) {
+        self.outcomes.push(FamilyOutcome {
+            class: self.c.profiles[fi].class,
+            ready: self.ready[fi].as_secs(),
+            start: start.as_secs(),
+            finish,
+            attempts,
+            service,
+        });
+    }
+
+    /// A task that ran whole from `start`: its worker is busy for the
+    /// task's service and its members finish back to back.
+    fn complete(&mut self, task: &Task, start: SimTime) {
+        self.busy += task.service();
+        let mut t = start.as_secs() + faas::ENDPOINT_DISPATCH_S;
+        for &(fi, svc) in &task.members {
+            t += svc;
+            self.outcome(fi, svc, start, t, task.attempt);
         }
     }
 
-    /// The adaptive path: the same pipelined dispatcher + worker pool as
-    /// the static path, re-tuned every *control block*. Each block:
+    /// Stage 4, static shape: one batching pass over the whole campaign at
+    /// the configured grid point, then allocation windows until nothing is
+    /// carried over.
+    fn windows(&mut self, order: &[usize]) {
+        let cfg = &self.c.config;
+        let mut queue = self.fuse(order, cfg.xtract_batch);
+        // Heavy-class tasks are prioritized in the submission queue — the
+        // paper's MDF run visibly submitted its long-duration tasks first
+        // ("many long-duration tasks saturate multiple funcX workers" in
+        // the first hour, §5.8.1), which is what keeps the multi-hour ASE
+        // tail from starting late and overhanging the makespan. (Every
+        // sort here is stable: ties stay in creation order.)
+        queue.sort_by_key(|t| !t.heavy);
+        self.dispatcher
+            .submit(&mut queue, cfg.funcx_batch, SimTime::ZERO);
+        // Heavy-class tasks run longest-processing-time-first: Fig. 8's
+        // multi-hour families all start early, and LPT is what keeps a
+        // lone four-hour family from straddling the allocation boundary.
+        // Light tasks stay in dispatch (FIFO) order so the millions of
+        // small families flow continuously — the paper's early throughput
+        // peak.
+        queue.sort_by(|a, b| {
+            b.heavy.cmp(&a.heavy).then_with(|| {
+                if a.heavy {
+                    b.work().total_cmp(&a.work())
+                } else {
+                    a.ready.cmp(&b.ready)
+                }
+            })
+        });
+
+        let mut opens = SimTime::ZERO;
+        let mut windows = 0u32;
+        while !queue.is_empty() {
+            windows += 1;
+            assert!(windows < 100_000, "campaign failed to converge");
+            // An allocation is requested when there is runnable work: if
+            // everything in the queue only becomes ready later (transfers
+            // in flight), the window starts then.
+            let min_ready = queue.iter().map(|t| t.ready).min().unwrap_or(opens);
+            opens = opens.max(min_ready);
+            // The limit may be infinite; keep the boundary as raw f64.
+            let closes_s = opens.as_secs() + cfg.allocation_limit();
+            queue = self.window(queue, opens, closes_s);
+            if queue.is_empty() {
+                break;
+            }
+            if closes_s.is_finite() {
+                self.restarts += 1;
+                opens = SimTime::from_secs(closes_s + cfg.restart_overhead_s);
+            }
+            self.dispatcher.requests += queue.len().div_ceil(cfg.funcx_batch) as u64;
+        }
+    }
+
+    /// One allocation, open over `[opens, closes_s]`: runs `queue` in
+    /// order and returns what the next allocation inherits.
+    fn window(&mut self, queue: Vec<Task>, opens: SimTime, closes_s: f64) -> Vec<Task> {
+        let cfg = &self.c.config;
+        let limit = cfg.allocation_limit();
+        let mut pools = self.pools(&queue, opens);
+        let mut next = Vec::new();
+        for mut t in queue {
+            let pool = pools[usize::from(!t.heavy)]
+                .as_mut()
+                .expect("a pool exists for work of its weight");
+            // Boundary backfill: the service tracks expected per-class
+            // durations, and does not *start* a task whose estimate
+            // cannot finish before the allocation expires — it is
+            // resubmitted on the next allocation instead. (Estimates are
+            // class means, not the true sampled duration, so heavy-tailed
+            // tasks can still genuinely straddle and be lost, as in
+            // §5.8.1.)
+            let estimate = self.c.ref_estimate(&t) / cfg.site.core_speed;
+            let would_start = t.ready.max(opens).max(pool.earliest_free()).as_secs();
+            if would_start >= closes_s || (would_start + estimate > closes_s && estimate < limit) {
+                t.ready = SimTime::from_secs(closes_s + cfg.restart_overhead_s).max(t.ready);
+                next.push(t);
+                continue;
+            }
+            let a = pool.assign(t.ready.max(opens), SimTime::from_secs(t.service()));
+            if a.finish.as_secs() <= closes_s {
+                self.complete(&t, a.start);
+            } else if let Some(mut retry) = self.cut_short(t, a.start, closes_s) {
+                retry.ready = SimTime::from_secs(closes_s + cfg.restart_overhead_s);
+                next.push(retry);
+            }
+        }
+        next
+    }
+
+    /// Workers split between heavy-class and light-class work in
+    /// proportion to their shares of remaining service: heavy families
+    /// (the multi-hour ASE grind) would otherwise starve the millions of
+    /// light families until the end, inverting Fig. 8's
+    /// high-early-throughput curve. In the pull-based real system light
+    /// tasks flow through whatever workers the heavy tasks leave free,
+    /// continuously. Returns `[heavy, light]`, free once cold starts are
+    /// paid.
+    fn pools(&self, queue: &[Task], opens: SimTime) -> [Option<ServerPool>; 2] {
+        let cfg = &self.c.config;
+        let mut work = [0.0f64; 2];
+        for t in queue {
+            for (_, s) in &t.members {
+                work[usize::from(!t.heavy)] += s;
+            }
+        }
+        let [heavy_work, light_work] = work;
+        let heavy_workers = if heavy_work == 0.0 || light_work == 0.0 {
+            if heavy_work > 0.0 {
+                cfg.workers
+            } else {
+                0
+            }
+        } else {
+            ((cfg.workers as f64 * heavy_work / (heavy_work + light_work)).round() as usize)
+                .clamp(1, cfg.workers - 1)
+        };
+        let warm = opens + SimTime::from_secs(cfg.cold_start_s);
+        [heavy_workers, cfg.workers - heavy_workers]
+            .map(|k| (k > 0).then(|| ServerPool::free_from(k, warm)))
+    }
+
+    /// §5.8.1: a task still running when its allocation expires is lost.
+    /// With the checkpoint flag, members whose metadata flushed before the
+    /// expiry are complete; the rest come back as the task's next attempt,
+    /// or are abandoned once `max_attempts` is spent.
+    fn cut_short(&mut self, t: Task, start: SimTime, closes_s: f64) -> Option<Task> {
+        let cfg = &self.c.config;
+        let ran = (closes_s - start.as_secs() - faas::ENDPOINT_DISPATCH_S).max(0.0);
+        self.busy += ran.min(t.service());
+        let mut elapsed = 0.0;
+        let mut survivors = Vec::new();
+        for &(fi, svc) in &t.members {
+            elapsed += svc;
+            if cfg.checkpoint && elapsed <= ran {
+                let finish = start.as_secs() + faas::ENDPOINT_DISPATCH_S + elapsed;
+                self.outcome(fi, svc, start, finish, t.attempt);
+            } else {
+                self.lost.insert(fi);
+                survivors.push((fi, svc));
+            }
+        }
+        if t.attempt >= cfg.max_attempts {
+            self.failed += survivors.len() as u64;
+            return None;
+        }
+        (!survivors.is_empty()).then(|| Task {
+            members: survivors,
+            attempt: t.attempt + 1,
+            ..t
+        })
+    }
+
+    /// Stage 4, adaptive shape: the same dispatcher and one shared worker
+    /// pool, re-tuned every *control block*. Each block:
     ///
     /// 1. asks the [`AdaptiveTuner`] for the current `(xtract, funcx)`
     ///    limits,
     /// 2. takes the next `workers × xtract × 2` families in ready order
     ///    (about two batches per worker — enough samples to trust the
     ///    block, short enough to re-tune frequently),
-    /// 3. fuses them per class (heavy classes still cap at one family per
-    ///    task, exactly like the static path), pushes the funcX chunks
-    ///    through the serial dispatcher with the same superlinear payload
-    ///    cost, and queues them on the shared worker pool — *no barrier*:
-    ///    workers drain block N+1 the moment they finish their share of
-    ///    block N,
+    /// 3. fuses and dispatches them like the static path and queues them
+    ///    on the pool — *no barrier*: workers drain block N+1 the moment
+    ///    they finish their share of block N,
     /// 4. feeds the per-family latency median (seconds from the block's
     ///    dispatch anchor) back into the controller.
     ///
@@ -843,178 +690,83 @@ impl Campaign {
     /// payload serialization and long serial batches. Either way pace
     /// degrades against the controller's best-pace anchor and it walks
     /// back toward the knee where dispatch and execution balance.
-    fn run_adaptive(&self, policy: AdaptiveBatching) -> CampaignReport {
-        let cfg = &self.config;
+    fn blocks(&mut self, mut order: &[usize]) {
+        let c = self.c;
+        let cfg = &c.config;
         assert!(
-            cfg.fault_plan.is_none() && cfg.hedge.is_none(),
-            "adaptive campaigns model fault-free sweeps; unset fault_plan/hedge"
-        );
-        assert!(
-            cfg.allocation_limit_s
-                .or(cfg.site.allocation_limit_s)
-                .is_none(),
+            cfg.allocation_limit().is_infinite(),
             "adaptive campaigns do not model allocation windows"
         );
-        let streams = RngStreams::new(cfg.seed);
-        let mut service_rng = streams.stream("campaign-service");
-        let n = self.profiles.len();
-        let (ready, crawl_finish, transfer_finish, bytes_transferred) = self.arrivals();
-
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| ready[a].cmp(&ready[b]).then(a.cmp(&b)));
-
         // The campaign models one facility = one endpoint.
         let ep = EndpointId::new(0);
-        let mut tuner = AdaptiveTuner::new(policy, cfg.xtract_batch, cfg.funcx_batch);
-
-        let mut outcomes: Vec<FamilyOutcome> = Vec::with_capacity(n);
-        let mut trajectory: Vec<(usize, usize)> = Vec::new();
-        let mut busy = 0.0f64;
-        let mut ws_requests = 0u64;
-        let mut dispatcher_busy_s = 0.0f64;
-        let mut dispatcher_free = SimTime::ZERO;
+        let mut tuner = AdaptiveTuner::new(cfg.xtract_batch, cfg.funcx_batch);
         let mut pool = ServerPool::free_from(cfg.workers, SimTime::from_secs(cfg.cold_start_s));
-        let mut next = 0usize;
-        while next < n {
+        while !order.is_empty() {
             let lim = tuner.limits(ep);
-            trajectory.push((lim.xtract, lim.funcx));
+            self.trajectory.push((lim.xtract, lim.funcx));
             let target = (cfg.workers * lim.xtract * 2).max(1);
-            let end = (next + target).min(n);
-            let wave = &order[next..end];
-            next = end;
+            let (block, rest) = order.split_at(target.min(order.len()));
+            order = rest;
 
             // The block's latency origin: when its last member is
             // visible and the dispatcher turns to it.
-            let wave_ready = wave
+            let visible = block
                 .iter()
-                .map(|&i| ready[i])
+                .map(|&i| self.ready[i])
                 .max()
                 .expect("blocks are non-empty");
-            let wave_start = dispatcher_free.max(wave_ready);
+            let origin = self.dispatcher.free.max(visible);
 
-            // Per-class Xtract batching at the tuner's limit; heavy
-            // classes still ship one family per task (§4.3.1).
-            let mut open: std::collections::HashMap<&'static str, (Vec<usize>, Vec<f64>)> =
-                Default::default();
-            let mut wtasks: Vec<(Vec<usize>, Vec<f64>)> = Vec::new();
-            for &i in wave {
-                let p = &self.profiles[i];
-                let svc = self.sample_service(p.class, &mut service_rng);
-                let cap = if mean_ref_service(p.class) > 60.0 {
-                    1
-                } else {
-                    lim.xtract
-                };
-                let entry = open.entry(p.class).or_default();
-                entry.0.push(i);
-                entry.1.push(svc);
-                if entry.0.len() >= cap {
-                    wtasks.push(open.remove(p.class).expect("open"));
-                }
-            }
-            let mut leftovers: Vec<&'static str> = open.keys().copied().collect();
-            leftovers.sort_unstable();
-            for class in leftovers {
-                wtasks.push(open.remove(class).expect("open"));
-            }
-            // Longest-expected-first within the wave keeps a heavy task
-            // from landing last and overhanging the barrier.
-            let mut exec_order: Vec<usize> = (0..wtasks.len()).collect();
-            exec_order.sort_by(|&a, &b| {
-                let est = |t: usize| -> f64 {
-                    wtasks[t]
-                        .0
-                        .iter()
-                        .map(|&fi| mean_ref_service(self.profiles[fi].class))
-                        .sum()
-                };
-                est(b).total_cmp(&est(a)).then(a.cmp(&b))
-            });
-
-            // funcX chunks through the serial dispatcher (same payload
-            // physics as the static path).
-            let mut task_ready: Vec<SimTime> = vec![SimTime::ZERO; wtasks.len()];
-            for chunk in exec_order.chunks(lim.funcx.max(1)) {
-                let families: usize = chunk.iter().map(|&t| wtasks[t].0.len()).sum();
-                let payload_factor = 1.0 + families as f64 / faas::PAYLOAD_KNEE_FAMILIES;
-                let duration = SimTime::from_secs(
-                    faas::WS_REQUEST_S
-                        + families as f64 * faas::SERIALIZE_PER_FAMILY_S * payload_factor,
-                );
-                let start = dispatcher_free.max(wave_start);
-                dispatcher_free = start + duration;
-                dispatcher_busy_s += duration.as_secs();
-                ws_requests += 1;
-                for &t in chunk {
-                    task_ready[t] = dispatcher_free;
-                }
-            }
-
-            // Queue on the shared pool (no barrier; workers carry their
-            // own free times across blocks).
-            let mut lats: Vec<f64> = Vec::with_capacity(wave.len());
-            for &t in &exec_order {
-                let (fams, svcs) = &wtasks[t];
-                let service: f64 = faas::ENDPOINT_DISPATCH_S + svcs.iter().sum::<f64>();
-                let a = pool.assign(task_ready[t], SimTime::from_secs(service));
-                busy += service;
-                let mut tcur = a.start.as_secs() + faas::ENDPOINT_DISPATCH_S;
-                for (&fi, &svc) in fams.iter().zip(svcs.iter()) {
-                    tcur += svc;
-                    outcomes.push(FamilyOutcome {
-                        class: self.profiles[fi].class,
-                        ready: ready[fi].as_secs(),
-                        start: a.start.as_secs(),
-                        finish: tcur,
-                        attempts: 1,
-                        service: svc,
-                    });
-                    lats.push(tcur - wave_start.as_secs());
-                }
+            let mut tasks = self.fuse(block, lim.xtract);
+            // Longest-expected-first within the block keeps a heavy task
+            // from landing last and overhanging it.
+            tasks.sort_by(|a, b| c.ref_estimate(b).total_cmp(&c.ref_estimate(a)));
+            self.dispatcher.submit(&mut tasks, lim.funcx.max(1), origin);
+            let first = self.outcomes.len();
+            for t in &tasks {
+                let a = pool.assign(t.ready, SimTime::from_secs(t.service()));
+                self.complete(t, a.start);
             }
 
             // Evidence → controller: the block-exact latency median.
+            let mut lats: Vec<f64> = self.outcomes[first..]
+                .iter()
+                .map(|o| o.finish - origin.as_secs())
+                .collect();
             lats.sort_by(f64::total_cmp);
-            let p50 = if lats.is_empty() {
-                None
-            } else {
-                Some(lats[(lats.len() - 1) / 2])
-            };
             tuner.observe_wave(
                 ep,
                 &WaveEvidence {
-                    p50_latency_s: p50,
+                    p50_latency_s: Some(lats[(lats.len() - 1) / 2]),
                     samples: lats.len() as u64,
-                    families: wave.len() as u64,
+                    families: block.len() as u64,
                     breaches: 0,
                     breaker_open: false,
                 },
             );
         }
+    }
 
-        outcomes.sort_by(|a, b| a.finish.total_cmp(&b.finish));
-        let makespan = outcomes.last().map_or(0.0, |o| o.finish);
+    /// Stage 5.
+    fn report(mut self) -> CampaignReport {
+        self.outcomes.sort_by(|a, b| a.finish.total_cmp(&b.finish));
         let mut phases = PhaseTimings::new();
-        phases.add(Phase::Crawl, crawl_finish.as_secs());
-        phases.add(Phase::Stage, transfer_finish.as_secs());
-        phases.add(Phase::Dispatch, dispatcher_busy_s);
-        phases.add(Phase::Extract, busy / cfg.workers as f64);
+        phases.add(Phase::Crawl, self.crawl_finish.as_secs());
+        phases.add(Phase::Stage, self.transfer_finish.as_secs());
+        phases.add(Phase::Dispatch, self.dispatcher.busy_s);
+        phases.add(Phase::Extract, self.busy / self.c.config.workers as f64);
         CampaignReport {
-            outcomes,
-            makespan,
-            busy_core_seconds: busy,
-            ws_requests,
-            restarts: 0,
-            lost_families: 0,
-            failed_families: 0,
-            hedges_launched: 0,
-            hedges_won: 0,
-            hedges_wasted: 0,
-            dead_letters: Vec::new(),
-            crawl_finish: crawl_finish.as_secs(),
-            transfer_finish: transfer_finish.as_secs(),
-            bytes_transferred,
-            batch_trajectory: trajectory,
+            makespan: self.outcomes.last().map_or(0.0, |o| o.finish),
+            outcomes: self.outcomes,
+            busy_core_seconds: self.busy,
+            ws_requests: self.dispatcher.requests,
+            restarts: self.restarts,
+            lost_families: self.lost.len() as u64,
+            failed_families: self.failed,
+            crawl_finish: self.crawl_finish.as_secs(),
+            transfer_finish: self.transfer_finish.as_secs(),
+            bytes_transferred: self.bytes_transferred,
+            batch_trajectory: self.trajectory,
             phases,
         }
     }
@@ -1023,6 +775,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::{FUNCX_CEILING, FUNCX_FLOOR, XTRACT_CEILING, XTRACT_FLOOR};
     use xtract_sim::sites;
 
     fn profiles(n: usize, class: &'static str) -> Vec<FamilyProfile> {
@@ -1177,109 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_crashes_retry_and_dead_letter_deterministically() {
-        let run = || {
-            let mut cfg = CampaignConfig::new(sites::midway(), 8, 12);
-            cfg.max_attempts = 3;
-            cfg.fault_plan = Some(FaultPlan {
-                worker_crash_rate: 0.5,
-                ..FaultPlan::new(99)
-            });
-            Campaign::new(cfg, profiles(100, "csv")).run()
-        };
-        let a = run();
-        let b = run();
-        // Every family terminates exactly once: completed or abandoned.
-        assert_eq!(a.outcomes.len() as u64 + a.failed_families, 100);
-        assert!(a.lost_families > 0, "a 50% crash rate should lose tasks");
-        assert_eq!(a.failed_families as usize, a.dead_letters.len());
-        for letter in &a.dead_letters {
-            assert!(matches!(
-                letter.reason,
-                FailureReason::RetryBudgetExhausted { .. }
-            ));
-        }
-        // Same plan + seed → identical dead-letter sets.
-        let keys = |r: &CampaignReport| r.dead_letters.iter().map(|d| d.key()).collect::<Vec<_>>();
-        assert_eq!(keys(&a), keys(&b));
-        assert_eq!(a.makespan, b.makespan);
-    }
-
-    #[test]
-    fn hedging_recovers_crashed_tasks_sooner() {
-        // A crashed task's unhedged retry waits until the (never-arriving)
-        // completion instant before it is noticed; the straggler defense
-        // notices it at the adaptive deadline instead. With an aggressive
-        // ceiling the hedged campaign finishes strictly sooner, and every
-        // launched hedge is accounted exactly once.
-        let run = |hedge: Option<HedgePolicy>| {
-            let mut cfg = CampaignConfig::new(sites::midway(), 8, 12);
-            cfg.fault_plan = Some(FaultPlan {
-                worker_crash_rate: 0.5,
-                ..FaultPlan::new(99)
-            });
-            cfg.hedge = hedge;
-            Campaign::new(cfg, profiles(100, "bert")).run()
-        };
-        let base = run(None);
-        let aggressive = HedgePolicy {
-            deadline_ceiling_ms: 1_000,
-            ..HedgePolicy::default()
-        };
-        let hedged = run(Some(aggressive));
-        assert!(base.lost_families > 0, "a 50% crash rate should lose tasks");
-        assert_eq!(base.hedges_launched, 0);
-        assert_eq!(
-            hedged.outcomes.len() as u64 + hedged.failed_families,
-            100,
-            "hedging must preserve the exactly-once partition"
-        );
-        assert!(hedged.hedges_launched > 0);
-        assert_eq!(
-            hedged.hedges_launched,
-            hedged.hedges_won + hedged.hedges_wasted,
-            "every hedge resolves exactly once"
-        );
-        assert!(
-            hedged.makespan < base.makespan,
-            "hedged {} !< unhedged {}",
-            hedged.makespan,
-            base.makespan
-        );
-        // Same seed + policy → identical counters and clock.
-        let again = run(Some(aggressive));
-        assert_eq!(hedged.makespan, again.makespan);
-        assert_eq!(hedged.hedges_launched, again.hedges_launched);
-        assert_eq!(hedged.hedges_won, again.hedges_won);
-    }
-
-    #[test]
-    fn degraded_links_delay_prefetch() {
-        let run = |fault: Option<FaultPlan>| {
-            let mut cfg = CampaignConfig::new(sites::midway(), 28, 4);
-            cfg.prefetch = Some(PrefetchPlan {
-                link: sites::link("petrel", "midway"),
-                slots: 10,
-                families_per_job: 50,
-            });
-            cfg.fault_plan = fault;
-            Campaign::new(cfg, profiles(500, "csv")).run()
-        };
-        let clean = run(None);
-        let slow = run(Some(FaultPlan {
-            slow_link_rate: 1.0,
-            slow_link_delay_ms: 30_000,
-            ..FaultPlan::new(7)
-        }));
-        assert!(
-            slow.transfer_finish >= clean.transfer_finish + 29.0,
-            "universal slow links must delay transfers: {} vs {}",
-            slow.transfer_finish,
-            clean.transfer_finish
-        );
-    }
-
-    #[test]
     fn phase_marks_mirror_the_virtual_clock() {
         let mut cfg = CampaignConfig::new(sites::midway(), 28, 5);
         let model = CrawlModel::from_stats(100, 5_000, 500);
@@ -1307,12 +957,18 @@ mod tests {
         cfg.prefetch = Some(PrefetchPlan {
             link: sites::link("petrel", "midway"),
             slots: 10,
-            families_per_job: 50,
+            families_per_job: 25,
         });
-        let report = Campaign::new(cfg, profiles(500, "csv")).run();
+        // 20 equal transfer jobs of 250 MB through 10 slots land in two
+        // waves seconds apart (10 jobs would all land at one instant, and
+        // 100 kB families move faster than one funcX request is sent), so
+        // the first wave's families extract while the second still moves.
+        let mut families = profiles(500, "csv");
+        for f in &mut families {
+            f.bytes = 10_000_000;
+        }
+        let report = Campaign::new(cfg, families).run();
         let overlap = report.stage_overlap_s();
-        // 500 families drip out of a 10-slot prefetch queue, so early
-        // families must extract while later transfers are still moving.
         assert!(overlap > 0.0, "no overlap despite staggered prefetch");
         // The overlap is bounded by the summed execution spans.
         let total_exec: f64 = report.outcomes.iter().map(|o| o.finish - o.start).sum();
@@ -1349,13 +1005,12 @@ mod tests {
         let mut cfg = CampaignConfig::new(sites::midway(), 56, 22);
         cfg.xtract_batch = 2;
         cfg.funcx_batch = 2;
-        let policy = AdaptiveBatching::enabled();
-        cfg.adaptive = Some(policy);
+        cfg.adaptive = Some(AdaptiveBatching::enabled());
         let report = Campaign::new(cfg, profiles(20_000, "csv")).run();
         assert_eq!(report.outcomes.len(), 20_000);
         for &(x, f) in &report.batch_trajectory {
-            assert!((policy.xtract_floor..=policy.xtract_ceiling).contains(&x));
-            assert!((policy.funcx_floor..=policy.funcx_ceiling).contains(&f));
+            assert!((XTRACT_FLOOR..=XTRACT_CEILING).contains(&x));
+            assert!((FUNCX_FLOOR..=FUNCX_CEILING).contains(&f));
         }
         // The controller actually tuned: the trajectory left its start.
         assert!(
@@ -1408,6 +1063,162 @@ mod tests {
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.ws_requests, b.ws_requests);
         assert!(a.batch_trajectory.is_empty());
+    }
+
+    /// FNV-1a over everything a figure reads off a report: every outcome
+    /// field bit for bit, then the aggregates.
+    fn digest(r: &CampaignReport) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for o in &r.outcomes {
+            eat(o.class.as_bytes());
+            for f in [o.ready, o.start, o.finish, o.service] {
+                eat(&f.to_bits().to_le_bytes());
+            }
+            eat(&o.attempts.to_le_bytes());
+        }
+        eat(&r.makespan.to_bits().to_le_bytes());
+        eat(&r.busy_core_seconds.to_bits().to_le_bytes());
+        eat(&r.ws_requests.to_le_bytes());
+        eat(&r.restarts.to_le_bytes());
+        eat(&r.lost_families.to_le_bytes());
+        eat(&r.failed_families.to_le_bytes());
+        for &(x, f) in &r.batch_trajectory {
+            eat(&(x as u64).to_le_bytes());
+            eat(&(f as u64).to_le_bytes());
+        }
+        h
+    }
+
+    /// One reduced-size config per bench that builds a [`CampaignConfig`]:
+    /// the cost model must not move under a refactor of this file. The
+    /// constants were taken over `perf/offline/rand`, whose derived sampling
+    /// (`gen_range`) is not crates.io rand's, so the first assertion probes
+    /// which generator is linked and the digests are compared only there.
+    #[test]
+    fn reports_are_pinned() {
+        use xtract_sim::dist::{lognormal_clamped, std_normal, Categorical};
+        use xtract_workloads::{cdiac, coco, matio, mdf};
+
+        let probe = std_normal(&mut RngStreams::new(0).stream("probe")).to_bits();
+        if probe != 0xbfae_fbc1_e3de_cdc5 {
+            eprintln!(
+                "reports_are_pinned: not the stand-in rand ({probe:#x}); digests not compared"
+            );
+            return;
+        }
+
+        let fig2 = {
+            let mut cfg = CampaignConfig::new(sites::theta(), 64, 2026);
+            cfg.xtract_batch = 2;
+            cfg.funcx_batch = 16;
+            Campaign::new(cfg, coco::profiles(3_000, &RngStreams::new(1)).collect()).run()
+        };
+        let fig5 = {
+            let mut cfg = CampaignConfig::new(sites::midway(), 28, 55);
+            cfg.xtract_batch = 8;
+            cfg.funcx_batch = 16;
+            Campaign::new(cfg, matio::lite_profiles(5_000, &RngStreams::new(5))).run()
+        };
+        let fig6 = {
+            const MIX: &[(&str, f64)] = &[
+                ("keyword", 0.30),
+                ("hierarchical", 0.25),
+                ("matio", 0.10),
+                ("images", 0.10),
+                ("csv", 0.10),
+                ("json", 0.10),
+                ("xml", 0.05),
+            ];
+            let mut rng = RngStreams::new(66).stream("fig6-files");
+            let dist = Categorical::new(&MIX.iter().map(|c| c.1).collect::<Vec<_>>());
+            let files = 5_000u64;
+            let profiles: Vec<FamilyProfile> = (0..files)
+                .map(|_| FamilyProfile {
+                    class: MIX[dist.sample(&mut rng)].0,
+                    files: 1,
+                    bytes: lognormal_clamped(&mut rng, (5.5e6f64).ln() - 0.845, 1.3, 1e3, 2e9)
+                        as u64,
+                })
+                .collect();
+            let mut cfg = CampaignConfig::new(sites::midway(), 112, 67);
+            cfg.crawl = Some((CrawlModel::from_stats(files / 74, files, files), 16));
+            cfg.prefetch = Some(PrefetchPlan {
+                link: sites::link("petrel", "midway"),
+                slots: 10,
+                families_per_job: 256,
+            });
+            Campaign::new(cfg, profiles).run()
+        };
+        let fig8 = {
+            let groups = 20_000u64;
+            let mut cfg = CampaignConfig::new(sites::theta(), 24, 42);
+            cfg.crawl = Some((CrawlModel::from_stats(268, groups, groups), 16));
+            cfg.allocation_limit_s = Some(6.0 * 3600.0);
+            cfg.checkpoint = true;
+            cfg.cold_start_s = 70.0;
+            Campaign::new(cfg, mdf::profiles(groups, &RngStreams::new(588)).collect()).run()
+        };
+        let table2 = {
+            let mut cfg = CampaignConfig::new(sites::jetstream(), 10, 24);
+            cfg.prefetch = Some(PrefetchPlan {
+                link: sites::link("midway", "jetstream"),
+                slots: 10,
+                families_per_job: 512,
+            });
+            Campaign::new(cfg, cdiac::profiles(4_000, &RngStreams::new(22)).collect()).run()
+        };
+        let ablation = Campaign::new(
+            CampaignConfig::new(sites::midway(), 56, 6),
+            cdiac::profiles(8_000, &RngStreams::new(88)).collect(),
+        )
+        .run();
+        let batching = {
+            let mut cfg = CampaignConfig::new(sites::midway(), 56, 55);
+            cfg.xtract_batch = 2;
+            cfg.funcx_batch = 2;
+            cfg.adaptive = Some(AdaptiveBatching::enabled());
+            Campaign::new(cfg, matio::lite_profiles(20_000, &RngStreams::new(5))).run()
+        };
+        let exhaustion = {
+            let mut cfg = CampaignConfig::new(sites::theta(), 4, 3);
+            cfg.allocation_limit_s = Some(3000.0);
+            cfg.max_attempts = 3;
+            Campaign::new(cfg, profiles(40, "ase")).run()
+        };
+        // The configs exercise what they are there for.
+        assert!(fig8.restarts > 0 && fig8.lost_families > 0);
+        assert!(exhaustion.failed_families > 0);
+        assert!(batching.batch_trajectory.iter().any(|&l| l != (2, 2)));
+
+        let got = [
+            ("fig2_scaling", digest(&fig2)),
+            ("fig5_batching", digest(&fig5)),
+            ("fig6_prefetch", digest(&fig6)),
+            ("fig8_mdf_campaign", digest(&fig8)),
+            ("table2_offloading", digest(&table2)),
+            ("ablation_offload_policies", digest(&ablation)),
+            ("bench_batching", digest(&batching)),
+            ("max_attempts", digest(&exhaustion)),
+        ];
+        let want = [
+            ("fig2_scaling", 0xe426_3e16_5afa_9491u64),
+            ("fig5_batching", 0x6f5e_b24c_228c_8845),
+            ("fig6_prefetch", 0xd4be_c48e_0349_eb36),
+            ("fig8_mdf_campaign", 0x8352_86f8_0fc4_8bda),
+            ("table2_offloading", 0xa231_a29e_2430_2b8d),
+            ("ablation_offload_policies", 0x42a4_a526_fed6_45cc),
+            ("bench_batching", 0x6582_1c49_728f_1808),
+            ("max_attempts", 0x8c3d_06fc_06d9_ffea),
+        ];
+        assert_eq!(
+            got.map(|(n, d)| format!("{n} {d:#018x}")),
+            want.map(|(n, d)| format!("{n} {d:#018x}"))
+        );
     }
 
     #[test]

@@ -360,8 +360,13 @@ struct StagingPool {
     spans: SpanUnion,
 }
 
+/// Latency quantile the adaptive deadline derives from (p95).
+const DEADLINE_QUANTILE: f64 = 0.95;
+/// Deadline = quantile latency × this multiplier.
+const DEADLINE_MULTIPLIER: f64 = 3.0;
+
 /// The wave's adaptive per-task deadline: the observed completion-latency
-/// quantile times the policy multiplier, clamped to the policy floor and
+/// quantile times the multiplier, clamped to the policy floor and
 /// ceiling (and never past the hard poll window). Falls back to the
 /// ceiling until enough samples accumulate, and to the flat poll window
 /// when the straggler defense is disabled.
@@ -371,8 +376,8 @@ fn adaptive_deadline(latency: &Histogram, hedge: &HedgePolicy, retry: &RetryPoli
     }
     let ceiling = hedge.deadline_ceiling_ms.min(retry.poll_window_ms).max(1);
     if latency.count() >= hedge.min_latency_samples {
-        if let Some(q) = latency.quantile(hedge.latency_quantile) {
-            let ms = (q * 1000.0 * hedge.deadline_multiplier).ceil() as u64;
+        if let Some(q) = latency.quantile(DEADLINE_QUANTILE) {
+            let ms = (q * 1000.0 * DEADLINE_MULTIPLIER).ceil() as u64;
             return Duration::from_millis(ms.max(hedge.deadline_floor_ms).min(ceiling));
         }
     }
@@ -486,9 +491,8 @@ impl<'a> WaveEngine<'a> {
                 journal.record(Event::IndexReplayed { families });
             }
         }
-        let tuner =
-            AdaptiveTuner::new(spec.adaptive, spec.xtract_batch_size, spec.funcx_batch_size)
-                .with_replayed_waves(replayed.waves);
+        let tuner = AdaptiveTuner::new(spec.xtract_batch_size, spec.funcx_batch_size)
+            .with_replayed_waves(replayed.waves);
         let watchdog = spec.hedge.enabled.then(|| {
             service
                 .faas
@@ -995,10 +999,8 @@ impl<'a> WaveEngine<'a> {
                     // growth: requests shrink to fit the budget instead of
                     // bouncing off the ledger.
                     if let Some(t) = job.tenant {
-                        lim = lim.cap_to_invocations(
-                            t.ledger().headroom(QuotaResource::Invocations),
-                            spec.adaptive.funcx_floor,
-                        );
+                        lim =
+                            lim.cap_to_invocations(t.ledger().headroom(QuotaResource::Invocations));
                     }
                     poll_chunk = Some(poll_chunk.unwrap_or(0).max(lim.poll_chunk));
                     if self.last_tuned.insert(af.exec, lim) != Some(lim) {

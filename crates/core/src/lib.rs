@@ -56,10 +56,11 @@
 //!   in-memory endpoints; `engine` (private) is its wave engine — one
 //!   job-state struct and the fixed stage sequence `run_job_inner` calls
 //!   (see `DESIGN.md`, "Wave engine");
-//! * [`campaign`] — the **simulated** campaign runner: the same policies
-//!   driven by `xtract-sim`'s calibrated clock for paper-scale
-//!   experiments (8 192 workers, 2.5 M groups) — see `DESIGN.md`,
-//!   "Two execution modes share one policy core";
+//! * [`campaign`] — the **simulated** campaign runner: the paper's cost
+//!   model (two-level batching, prefetch, allocation windows) on
+//!   `xtract-sim`'s calibrated clock for paper-scale experiments (8 192
+//!   workers, 2.5 M groups) — see `DESIGN.md`, "Two execution modes share
+//!   one policy core";
 //! * [`crawlmodel`] — the calibrated analytic crawl-time model behind
 //!   Fig. 4.
 

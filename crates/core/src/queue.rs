@@ -103,7 +103,7 @@ pub struct JobQueue<T> {
     capacity: usize,
     tenants: HashMap<TenantId, TenantSched<T>>,
     /// Global virtual time: the pass of the most recently dispatched
-    /// tenant. Reactivating tenants catch up to this.
+    /// tenant, after that dispatch. Reactivating tenants catch up to this.
     vtime: u64,
     pending_total: usize,
     seq: u64,
@@ -221,8 +221,10 @@ impl<T> JobQueue<T> {
         let sched = self.tenants.get_mut(&tid)?;
         let idx = sched.next_index()?;
         let entry = sched.pending.remove(idx)?;
-        self.vtime = sched.pass;
+        // Advance first, then record: a tenant that reactivates now starts
+        // level with the incumbent, not one stride behind it.
         sched.pass += sched.stride();
+        self.vtime = sched.pass;
         sched.running += 1;
         self.pending_total -= 1;
         Some((tid, entry.job, entry.payload))

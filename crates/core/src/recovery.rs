@@ -1873,9 +1873,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn spec_fingerprint_ignores_the_fault_plan() {
-        use xtract_types::{ContainerRuntime, EndpointSpec, FaultPlan};
+    fn one_endpoint_spec() -> JobSpec {
+        use xtract_types::{ContainerRuntime, EndpointSpec};
         let ep = EndpointSpec {
             endpoint: EndpointId::new(0),
             read_path: "/data".into(),
@@ -1884,7 +1883,13 @@ mod tests {
             workers: Some(2),
             runtime: ContainerRuntime::Docker,
         };
-        let spec = JobSpec::single_endpoint(ep, "/data");
+        JobSpec::single_endpoint(ep, "/data")
+    }
+
+    #[test]
+    fn spec_fingerprint_ignores_the_fault_plan() {
+        use xtract_types::FaultPlan;
+        let spec = one_endpoint_spec();
         let base = spec_fingerprint(&spec);
         let mut chaotic = spec.clone();
         chaotic.fault_plan = Some(FaultPlan::new(17));
@@ -1893,6 +1898,30 @@ mod tests {
         let mut other = spec.clone();
         other.max_family_size = spec.max_family_size + 1;
         assert_ne!(spec_fingerprint(&other), base);
+    }
+
+    #[test]
+    fn a_spec_that_still_carries_retired_knobs_is_the_same_job() {
+        let spec = one_endpoint_spec();
+        // Written while these were settable fields; they are constants of
+        // `engine`, `adaptive` and `transport` now and the keys are ignored.
+        let mut json = serde_json::to_value(&spec).unwrap();
+        for (block, key, value) in [
+            ("hedge", "latency_quantile", 0.5),
+            ("hedge", "deadline_multiplier", 9.0),
+            ("adaptive", "xtract_ceiling", 4.0),
+            ("adaptive", "backoff", 0.9),
+            ("shard", "heartbeat_ms", 7.0),
+            ("shard", "heartbeat_timeout_ms", 70.0),
+        ] {
+            json[block]
+                .as_object_mut()
+                .unwrap()
+                .insert(key.into(), value.into());
+        }
+        let back: JobSpec = serde_json::from_value(json).unwrap();
+        assert_eq!(back, spec);
+        assert_eq!(spec_fingerprint(&back), spec_fingerprint(&spec));
     }
 
     // -- proptest: records through JSON and through the log -------------

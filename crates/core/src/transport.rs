@@ -34,10 +34,10 @@
 //! interleaved corruption.
 //!
 //! **Death detection.** A running worker heartbeats on a background
-//! pinger every `ShardPolicy::heartbeat_ms`; the coordinator's monitor
+//! pinger every [`HEARTBEAT`]; the coordinator's monitor
 //! parks in [`ShardCoordinator::await_timeout`] and declares any
 //! *running* slot dead once its last beat ages past
-//! `heartbeat_timeout_ms`. Idle workers are exempt — they park inside
+//! [`HEARTBEAT_TIMEOUT`]. Idle workers are exempt — they park inside
 //! a blocking `IdleWait` RPC — and their death surfaces as the
 //! connection's EOF instead. Either way the supervisor hears a
 //! [`ShardExit::Died`] and does what it does for a dead thread: fences
@@ -90,6 +90,15 @@ pub const PROC_JOB_FILE: &str = "proc-job.json";
 /// Frames larger than this are rejected as corrupt rather than
 /// allocated: a garbage length prefix must not OOM the peer.
 const MAX_FRAME: usize = 64 << 20;
+
+/// Interval between a shard worker's background heartbeat pings to the
+/// coordinator. In-process runs heartbeat at wave boundaries instead.
+const HEARTBEAT: Duration = Duration::from_millis(25);
+/// A *running* worker whose last heartbeat is older than this is declared
+/// dead and its WAL is fenced and adopted. Idle workers are exempt (they
+/// park in a blocking `IdleWait` RPC and their death is caught by socket
+/// EOF instead).
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(2_000);
 
 fn tfail(reason: impl Into<String>) -> XtractError {
     XtractError::TransportFailed {
@@ -243,7 +252,7 @@ struct PingState {
 
 /// The worker's connection to its coordinator: a mutex-serialized RPC
 /// channel plus a background pinger that re-sends the last wave-top
-/// heartbeat every `heartbeat_ms`, so a worker deep inside a long wave
+/// heartbeat every [`HEARTBEAT`], so a worker deep inside a long wave
 /// still reads as alive. Implements [`ShardLink`], so the wave loop is
 /// byte-for-byte the in-process one.
 pub(crate) struct ShardClient {
@@ -255,7 +264,7 @@ pub(crate) struct ShardClient {
 }
 
 impl ShardClient {
-    fn start(shard: usize, epoch: u64, conn: Arc<Mutex<Framed>>, heartbeat_ms: u64) -> Self {
+    fn start(shard: usize, epoch: u64, conn: Arc<Mutex<Framed>>) -> Self {
         let ping = Arc::new((
             Mutex::new(PingState {
                 wave: 0,
@@ -274,7 +283,7 @@ impl ShardClient {
                     if st.stop {
                         return;
                     }
-                    cv.wait_for(&mut st, Duration::from_millis(heartbeat_ms.max(1)));
+                    cv.wait_for(&mut st, HEARTBEAT);
                     if st.stop {
                         return;
                     }
@@ -555,12 +564,7 @@ pub fn run_worker(root: &Path, shard: usize) -> Result<()> {
     if let Some(plan) = &sub_spec.fault_plan {
         service.arm_faults(plan);
     }
-    let mut client = ShardClient::start(
-        shard,
-        lease.epoch(),
-        Arc::clone(&conn),
-        world.spec.shard.heartbeat_ms,
-    );
+    let mut client = ShardClient::start(shard, lease.epoch(), Arc::clone(&conn));
     let result = run_shard(&service, token, &sub_spec, &sd, &lease, None, &client);
     client.shutdown();
     // A scheduled chaos kill: the in-process launcher turns this error
@@ -876,18 +880,19 @@ pub fn run_proc_sharded(
         {
             let tx = tx.clone();
             let coordinator = &job.coordinator;
-            let budget = Duration::from_millis(spec.shard.heartbeat_timeout_ms);
             scope.spawn(move || {
                 let mut reported: Vec<usize> = Vec::new();
                 loop {
-                    let expired = coordinator.await_timeout(budget, &reported);
+                    let expired = coordinator.await_timeout(HEARTBEAT_TIMEOUT, &reported);
                     if expired.is_empty() {
                         return;
                     }
                     for k in expired {
                         reported.push(k);
-                        let reason =
-                            format!("no heartbeat for {}ms while running", budget.as_millis());
+                        let reason = format!(
+                            "no heartbeat for {}ms while running",
+                            HEARTBEAT_TIMEOUT.as_millis()
+                        );
                         if tx.send((k, 0.0, Err(tfail(reason)))).is_err() {
                             return;
                         }

@@ -3,14 +3,9 @@
 //! One `RwLock` guards everything: readers block while a writer holds
 //! the lock, and replacing a family rebuilds the *entire* index —
 //! re-tokenizing every document — under that write lock. It is preserved
-//! for two jobs:
-//!
-//! * the **reference scorer**: its results define correct TF·IDF
-//!   ranking, and the property tests assert [`crate::SearchIndex`]
-//!   returns bitwise-identical scores;
-//! * the **bench baseline**: `bench_index` measures read QPS under
-//!   sustained concurrent ingest against both designs and
-//!   `BENCH_index.json` records the sharded index beating this one.
+//! as the **reference scorer**: its results define correct TF·IDF
+//! ranking, and the property tests and `tests/concurrency.rs` assert
+//! [`crate::SearchIndex`] returns bitwise-identical scores.
 //!
 //! Do not use it for serving.
 

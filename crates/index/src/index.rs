@@ -33,8 +33,8 @@
 //! one map copy and one publish per shard for the whole batch —
 //! and never loops over [`SearchIndex::ingest`]. The single-lock,
 //! rebuild-on-replace design this replaces is preserved as
-//! [`crate::baseline::LockedIndex`] and benchmarked against in
-//! `bench_index`.
+//! [`crate::baseline::LockedIndex`], the oracle of
+//! `tests/concurrency.rs`.
 
 use crate::query::{Hit, Query};
 use parking_lot::{Mutex, RwLock};

@@ -230,7 +230,8 @@ impl Histogram {
                 .bounds
                 .iter()
                 .copied()
-                .chain(std::iter::once(f64::INFINITY))
+                .map(Some)
+                .chain(std::iter::once(None))
                 .zip(self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)))
                 .map(|(bound, count)| BucketSample { bound, count })
                 .collect(),
@@ -263,8 +264,11 @@ pub struct GaugeSample {
 /// One histogram bucket at snapshot time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BucketSample {
-    /// Inclusive upper bound (`inf` for the overflow bucket).
-    pub bound: f64,
+    /// Inclusive upper bound; `None` for the overflow bucket, which is
+    /// always last. (JSON has no infinity: serde_json writes a non-finite
+    /// `f64` as `null` and cannot read it back, and `null` is what `None`
+    /// writes, so snapshots look the same and now round-trip.)
+    pub bound: Option<f64>,
     /// Observations that landed in this bucket.
     pub count: u64,
 }
@@ -587,7 +591,8 @@ mod tests {
         let s = h.sample("t", None);
         let counts: Vec<u64> = s.buckets.iter().map(|b| b.count).collect();
         assert_eq!(counts, vec![1, 2, 1, 1]);
-        assert_eq!(s.buckets.last().unwrap().bound, f64::INFINITY);
+        assert_eq!(s.buckets.last().unwrap().bound, None);
+        assert_eq!(s.buckets[2].bound, Some(10.0));
     }
 
     #[test]

@@ -229,8 +229,8 @@ impl RetryPolicy {
 /// The paper's §5.8.1 recovery is purely reactive — a slow task stalls its
 /// wave until the flat poll window expires. This policy makes the wave
 /// loop proactive: deadlines derive from the observed completion-latency
-/// histogram (`latency_quantile` × `deadline_multiplier`, clamped to the
-/// floor/ceiling), a breached task is hedged to the best alternative
+/// histogram (p95 × 3, clamped to the floor/ceiling), a breached task is
+/// hedged to the best alternative
 /// healthy endpoint, and a background watchdog renews lapsed allocations
 /// after `watchdog_renew_cooldown_ms`. Deadline breaches also feed the
 /// [`HealthTracker`] straggler score fractionally (`breach_weight`,
@@ -243,10 +243,6 @@ impl RetryPolicy {
 pub struct HedgePolicy {
     /// Master switch; `false` restores the flat poll-window behavior.
     pub enabled: bool,
-    /// Latency quantile the deadline derives from (e.g. 0.95 = p95).
-    pub latency_quantile: f64,
-    /// Deadline = quantile latency × this multiplier.
-    pub deadline_multiplier: f64,
     /// Deadline floor, milliseconds — never hedge faster than this.
     pub deadline_floor_ms: u64,
     /// Deadline ceiling, milliseconds — never wait longer than this even
@@ -274,8 +270,6 @@ impl Default for HedgePolicy {
     fn default() -> Self {
         Self {
             enabled: true,
-            latency_quantile: 0.95,
-            deadline_multiplier: 3.0,
             deadline_floor_ms: 250,
             deadline_ceiling_ms: 120_000,
             min_latency_samples: 8,
@@ -298,18 +292,6 @@ impl HedgePolicy {
 
     /// Checks the policy is internally consistent.
     pub fn validate(&self) -> Result<(), String> {
-        if !(0.0 < self.latency_quantile && self.latency_quantile < 1.0) {
-            return Err(format!(
-                "latency_quantile {} outside (0, 1)",
-                self.latency_quantile
-            ));
-        }
-        if self.deadline_multiplier < 1.0 {
-            return Err(format!(
-                "deadline_multiplier {} must be >= 1",
-                self.deadline_multiplier
-            ));
-        }
         if self.deadline_ceiling_ms == 0 {
             return Err("deadline_ceiling_ms must be > 0".into());
         }
@@ -338,71 +320,26 @@ impl HedgePolicy {
     }
 }
 
-/// Adaptive two-level batching: the feedback controller's clamps and
-/// gains (§4.3.2 made self-tuning).
+/// Adaptive two-level batching (§4.3.2 made self-tuning).
 ///
 /// The paper's Fig. 5 shows throughput varying ~an order of magnitude
 /// across the `(xtract_batch_size, funcx_batch_size)` grid, with the
-/// optimum depending on workload and endpoint. This policy lets the wave
-/// loop *search* for that optimum instead of freezing the seed defaults:
-/// an AIMD law grows both batch knobs additively (`grow_step`) while the
-/// observed per-family p50 completion pace holds or improves (within
-/// `tolerance`), and backs off multiplicatively (`backoff`) when the pace
-/// degrades, a task breaches its adaptive deadline, or the endpoint's
-/// breaker opens. Both knobs stay clamped to `[floor, ceiling]`, the
-/// batch-poll request size derives from the same limits (clamped to
-/// `[poll_floor, poll_ceiling]`), and a tenant's remaining invocation
-/// budget caps effective funcX growth. Decisions are a pure function of
-/// the observed evidence sequence — no clocks, no randomness — so a
-/// resumed job re-derives controller state from its journal instead of
-/// persisting it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// optimum depending on workload and endpoint. Enabled, the wave loop
+/// *searches* for that optimum instead of freezing the seed defaults: an
+/// AIMD law grows both batch knobs additively while the observed
+/// per-family p50 completion pace holds or improves, and backs off
+/// multiplicatively when the pace degrades, a task breaches its adaptive
+/// deadline, or the endpoint's breaker opens. The controller's clamps and
+/// gains are constants of `xtract_core::adaptive`. Decisions are a pure
+/// function of the observed evidence sequence — no clocks, no randomness
+/// — so a resumed job re-derives controller state from its journal
+/// instead of persisting it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[serde(default)]
 pub struct AdaptiveBatching {
     /// Master switch; `false` keeps the spec's static batch sizes,
     /// byte-identical to the pre-controller wave loop.
     pub enabled: bool,
-    /// Smallest families-per-Xtract-batch the controller may choose.
-    pub xtract_floor: usize,
-    /// Largest families-per-Xtract-batch the controller may choose.
-    pub xtract_ceiling: usize,
-    /// Smallest tasks-per-funcX-request the controller may choose.
-    pub funcx_floor: usize,
-    /// Largest tasks-per-funcX-request the controller may choose.
-    pub funcx_ceiling: usize,
-    /// Additive increase applied to both knobs after a good wave.
-    pub grow_step: usize,
-    /// Multiplicative decrease applied on pace regression, deadline
-    /// breaches, or a breaker open, in `(0, 1)`.
-    pub backoff: f64,
-    /// Relative per-family pace worsening tolerated before a wave counts
-    /// as a regression (absorbs sampling noise), `>= 0`.
-    pub tolerance: f64,
-    /// Completion-latency samples a wave must contribute before its pace
-    /// is trusted; thinner waves hold the current limits.
-    pub min_wave_samples: u64,
-    /// Fewest task ids bundled into one batch-poll request.
-    pub poll_floor: usize,
-    /// Most task ids bundled into one batch-poll request.
-    pub poll_ceiling: usize,
-}
-
-impl Default for AdaptiveBatching {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            xtract_floor: 1,
-            xtract_ceiling: 32,
-            funcx_floor: 1,
-            funcx_ceiling: 32,
-            grow_step: 2,
-            backoff: 0.65,
-            tolerance: 0.15,
-            min_wave_samples: 4,
-            poll_floor: 16,
-            poll_ceiling: 1024,
-        }
-    }
 }
 
 impl AdaptiveBatching {
@@ -411,53 +348,9 @@ impl AdaptiveBatching {
         Self::default()
     }
 
-    /// An enabled policy with the default clamps and gains.
+    /// An enabled policy.
     pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// Checks the policy is internally consistent.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.xtract_floor == 0 || self.funcx_floor == 0 {
-            return Err("adaptive batch floors must be > 0".into());
-        }
-        if self.xtract_floor > self.xtract_ceiling {
-            return Err(format!(
-                "adaptive xtract floor {} exceeds ceiling {}",
-                self.xtract_floor, self.xtract_ceiling
-            ));
-        }
-        if self.funcx_floor > self.funcx_ceiling {
-            return Err(format!(
-                "adaptive funcx floor {} exceeds ceiling {}",
-                self.funcx_floor, self.funcx_ceiling
-            ));
-        }
-        if self.grow_step == 0 {
-            return Err("adaptive grow_step must be > 0".into());
-        }
-        if !(0.0 < self.backoff && self.backoff < 1.0) {
-            return Err(format!("adaptive backoff {} outside (0, 1)", self.backoff));
-        }
-        if self.tolerance < 0.0 {
-            return Err(format!(
-                "adaptive tolerance {} must be >= 0",
-                self.tolerance
-            ));
-        }
-        if self.poll_floor == 0 {
-            return Err("adaptive poll_floor must be > 0".into());
-        }
-        if self.poll_floor > self.poll_ceiling {
-            return Err(format!(
-                "adaptive poll floor {} exceeds ceiling {}",
-                self.poll_floor, self.poll_ceiling
-            ));
-        }
-        Ok(())
+        Self { enabled: true }
     }
 }
 
@@ -614,16 +507,6 @@ pub struct ShardPolicy {
     /// non-staging) families before a steal takes any; the steal moves
     /// half of what is eligible.
     pub steal_min_pending: u64,
-    /// Cross-process mode: interval (ms) between a shard worker's
-    /// background heartbeat pings to the coordinator. In-process runs
-    /// heartbeat at wave boundaries and ignore this.
-    pub heartbeat_ms: u64,
-    /// Cross-process mode: a *running* worker whose last heartbeat is
-    /// older than this (ms) is declared dead and its WAL is fenced and
-    /// adopted. Must exceed `heartbeat_ms` with margin; idle workers
-    /// are exempt (they park in a blocking `idle_wait` RPC and their
-    /// death is caught by socket EOF instead).
-    pub heartbeat_timeout_ms: u64,
 }
 
 impl Default for ShardPolicy {
@@ -636,8 +519,6 @@ impl Default for ShardPolicy {
             lag_multiplier: 3.0,
             min_lag_samples: 8,
             steal_min_pending: 2,
-            heartbeat_ms: 25,
-            heartbeat_timeout_ms: 2_000,
         }
     }
 }
@@ -676,15 +557,6 @@ impl ShardPolicy {
         }
         if self.steal_min_pending == 0 {
             return Err("steal_min_pending must be > 0".into());
-        }
-        if self.heartbeat_ms == 0 {
-            return Err("heartbeat_ms must be > 0".into());
-        }
-        if self.heartbeat_timeout_ms <= self.heartbeat_ms {
-            return Err(format!(
-                "heartbeat_timeout_ms {} must exceed heartbeat_ms {}",
-                self.heartbeat_timeout_ms, self.heartbeat_ms
-            ));
         }
         Ok(())
     }
@@ -834,7 +706,6 @@ impl JobSpec {
         }
         self.retry.validate()?;
         self.hedge.validate()?;
-        self.adaptive.validate()?;
         self.recovery.validate()?;
         self.index.validate()?;
         self.shard.validate()?;
@@ -988,15 +859,12 @@ mod tests {
         // Sparse hedge config keeps unset fields at defaults.
         let sparse: HedgePolicy = serde_json::from_str(r#"{"enabled": false}"#).unwrap();
         assert!(!sparse.enabled);
-        assert_eq!(sparse.latency_quantile, 0.95);
+        assert_eq!(sparse.deadline_floor_ms, 250);
     }
 
     #[test]
     fn bad_hedge_policy_is_rejected() {
         let mut job = JobSpec::single_endpoint(ep(0, Some(4)), "/data");
-        job.hedge.latency_quantile = 1.0;
-        assert!(job.validate().unwrap_err().contains("latency_quantile"));
-        job.hedge.latency_quantile = 0.95;
         job.hedge.deadline_floor_ms = 10_000;
         job.hedge.deadline_ceiling_ms = 100;
         assert!(job.validate().unwrap_err().contains("ceiling"));
@@ -1011,7 +879,6 @@ mod tests {
     #[test]
     fn adaptive_batching_defaults_are_valid_and_deserialize_sparse() {
         let policy = AdaptiveBatching::default();
-        assert!(policy.validate().is_ok());
         assert!(!policy.enabled, "adaptive batching is opt-in");
         assert_eq!(policy, AdaptiveBatching::disabled());
         assert!(AdaptiveBatching::enabled().enabled);
@@ -1023,9 +890,7 @@ mod tests {
         assert_eq!(back.adaptive, AdaptiveBatching::default());
         // Sparse adaptive config keeps unset fields at defaults.
         let sparse: AdaptiveBatching = serde_json::from_str(r#"{"enabled": true}"#).unwrap();
-        assert!(sparse.enabled);
-        assert_eq!(sparse.xtract_ceiling, 32);
-        assert_eq!(sparse.backoff, AdaptiveBatching::default().backoff);
+        assert_eq!(sparse, AdaptiveBatching::enabled());
     }
 
     #[test]
@@ -1106,35 +971,6 @@ mod tests {
         job.index.shards = 5000;
         assert!(job.validate().unwrap_err().contains("4096"));
         job.index = IndexPolicy::enabled();
-        assert!(job.validate().is_ok());
-    }
-
-    #[test]
-    fn bad_adaptive_batching_is_rejected() {
-        let mut job = JobSpec::single_endpoint(ep(0, Some(4)), "/data");
-        job.adaptive.xtract_floor = 0;
-        assert!(job.validate().unwrap_err().contains("floors"));
-        job.adaptive = AdaptiveBatching::default();
-        job.adaptive.xtract_floor = 8;
-        job.adaptive.xtract_ceiling = 4;
-        assert!(job.validate().unwrap_err().contains("ceiling"));
-        job.adaptive = AdaptiveBatching::default();
-        job.adaptive.funcx_floor = 16;
-        job.adaptive.funcx_ceiling = 2;
-        assert!(job.validate().unwrap_err().contains("funcx"));
-        job.adaptive = AdaptiveBatching::default();
-        job.adaptive.backoff = 1.0;
-        assert!(job.validate().unwrap_err().contains("backoff"));
-        job.adaptive = AdaptiveBatching::default();
-        job.adaptive.grow_step = 0;
-        assert!(job.validate().unwrap_err().contains("grow_step"));
-        job.adaptive = AdaptiveBatching::default();
-        job.adaptive.tolerance = -0.1;
-        assert!(job.validate().unwrap_err().contains("tolerance"));
-        job.adaptive = AdaptiveBatching::default();
-        job.adaptive.poll_floor = 4096;
-        assert!(job.validate().unwrap_err().contains("poll"));
-        job.adaptive = AdaptiveBatching::enabled();
         assert!(job.validate().is_ok());
     }
 

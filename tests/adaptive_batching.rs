@@ -16,6 +16,7 @@ use bytes::Bytes;
 use std::path::PathBuf;
 use std::sync::Arc;
 use xtract::prelude::*;
+use xtract_core::adaptive::{FUNCX_CEILING, FUNCX_FLOOR, XTRACT_CEILING, XTRACT_FLOOR};
 use xtract_core::{TenantRegistry, XtractService};
 use xtract_datafabric::{AuthService, DataFabric, MemFs, Scope, StorageBackend, Token};
 use xtract_obs::Event;
@@ -148,10 +149,9 @@ fn adaptive_job_extracts_the_same_records_and_journals_its_limits() {
         !tuned.is_empty(),
         "the first adaptive wave always journals the limits it ran with"
     );
-    let policy = AdaptiveBatching::enabled();
     for (x, f) in tuned {
-        assert!((policy.xtract_floor as u64..=policy.xtract_ceiling as u64).contains(&x));
-        assert!((policy.funcx_floor as u64..=policy.funcx_ceiling as u64).contains(&f));
+        assert!((XTRACT_FLOOR as u64..=XTRACT_CEILING as u64).contains(&x));
+        assert!((FUNCX_FLOOR as u64..=FUNCX_CEILING as u64).contains(&f));
     }
 }
 
@@ -180,10 +180,9 @@ fn tenant_invocation_quota_caps_the_controller_without_losing_records() {
 
     assert_eq!(doc_keys(&static_report.records), doc_keys(&report.records));
     assert!(report.failures.is_empty());
-    let policy = AdaptiveBatching::enabled();
     for (_, f) in tuned_events(&svc_a) {
         assert!(
-            f <= policy.funcx_ceiling as u64,
+            f <= FUNCX_CEILING as u64,
             "quota-capped funcX limit escaped the ceiling: {f}"
         );
     }
